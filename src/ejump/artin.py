@@ -9,28 +9,24 @@ field grows (m < n) and whether a nilpotent of order p^m appears (m >= 1).
 The verification oracle rebuilds the concrete finite-dimensional algebra
 K[z1..zr]/(zi^(p^ni) - ai) and checks the claimed structure clause by
 clause: total dimension, exact nilpotency indices, and the dimension of the
-quotient by the claimed nilpotents.
+quotient by the claimed nilpotents.  Residue-field elements enter that
+algebra through `FlatModel.flatten` of the residue field, with each adjoined
+layer's slot moved to its entry's z slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    ArityMismatch,
-    CapExceeded,
-    InternalInvariantViolation,
-    NotAPower,
-)
+from .errors import ArityMismatch, CapExceeded, InternalInvariantViolation
 from .ff_arith import RatFunc
 from .flat import FlatAlgebra, FlatLayer, LinearSolver, flat_model, p_power_root
 from .tower import (
-    TRANSCENDENTAL,
     BaseField,
     FieldTower,
     TowerElement,
     adjoin_p_root,
-    p_root_tower,
+    max_p_power_exponent,
 )
 
 
@@ -135,18 +131,10 @@ def base_change_structure(K: FieldTower, spec: InseparableExtensionSpec) -> Trun
     nilpotents = []
     adjoined = []
     for idx, (a, n) in enumerate(spec.entries):
-        current = L.from_base(a)
-        roots = [current]
-        while len(roots) <= n:
-            try:
-                roots.append(p_root_tower(roots[-1]))
-            except NotAPower:
-                break
-        m = len(roots) - 1  # min(n, max k with a in L^(p^k))
+        m, root_m = max_p_power_exponent(L.from_base(a), n)
         if m >= n:
-            nilpotents.append(NilpotentRecord(idx, n, roots[n], 1))
+            nilpotents.append(NilpotentRecord(idx, n, root_m, 1))
         else:
-            root_m = roots[m]
             name = _fresh_name(L, "g")
             L = adjoin_p_root(L, root_m, n - m, name=name)
             adjoined.append((idx, name))
@@ -207,7 +195,6 @@ class _ConcreteAlgebra:
     """K[z1..zr]/(zi^(p^ni) - ai) over the flat model of K."""
 
     def __init__(self, K: FieldTower, spec: InseparableExtensionSpec):
-        self.K = K
         self.model = flat_model(K)
         base_alg = self.model.algebra
         pad = len(spec.entries)
@@ -231,57 +218,22 @@ class _ConcreteAlgebra:
         return self.algebra.scalar(self.model._extend_ratfunc(a))
 
     def eval_residue_element(self, structure: TruncatedStructure, elt: TowerElement) -> dict:
-        """Image of a residue-field element with adjoined generators sent to z-monomials."""
+        """Image of a residue-field element with adjoined generators sent to z-monomials.
+
+        The flat model of the residue field has the slots of K followed by one
+        slot per adjoined layer, in order; adjoined exponents stay below the
+        layer degree p^(n-m), hence below p^n, so moving them to z slots needs
+        no reduction.
+        """
         L = structure.residue_field
-        elt = L.embed(elt)
-        entry_of_layer = {name: idx for idx, name in structure.adjoined}
-        return self._eval_payload(L, structure, entry_of_layer, L.height, elt.payload)
-
-    def _eval_payload(self, L, structure, entry_of_layer, level, payload):
-        alg = self.algebra
-        K = self.K
-        if level == 0:
-            ext = self.model._extend_ratfunc(payload)
-            return alg.scalar(ext)
-        layer = L.layers[level - 1]
-        if level <= K.height:
-            if layer.kind == TRANSCENDENTAL:
-                vidx = self.model.transc_map[level]
-                num = self._eval_upoly(L, structure, entry_of_layer, level, payload.num, vidx)
-                den = self._eval_upoly(L, structure, entry_of_layer, level, payload.den, vidx)
-                den_inv = alg.invert(den)
-                if den_inv is None:
-                    raise InternalInvariantViolation("field denominator not invertible in the oracle algebra")
-                return alg.mul(num, den_inv)
-            slot = self.model.slot_map[level]
-            out = alg.zero()
-            for j, coeff in enumerate(payload):
-                sub = self._eval_payload(L, structure, entry_of_layer, level - 1, coeff)
-                out = alg.add(out, alg.shift(sub, slot, j))
-            return out
-        # adjoined inseparable layer: generator maps to the entry's z generator
-        entry_idx = entry_of_layer[layer.name]
-        out = alg.zero()
-        for j, coeff in enumerate(payload):
-            sub = self._eval_payload(L, structure, entry_of_layer, level - 1, coeff)
-            if j:
-                sub = alg.mul(sub, self.z_gen(entry_idx, j))
-            out = alg.add(out, sub)
-        return out
-
-    def _eval_upoly(self, L, structure, entry_of_layer, level, coeffs, vidx):
-        alg = self.algebra
-        from .ff_arith import MultiPoly
-
-        out = alg.zero()
-        for j, coeff in enumerate(coeffs):
-            sub = self._eval_payload(L, structure, entry_of_layer, level - 1, coeff)
-            if j:
-                mono = RatFunc.from_poly(
-                    MultiPoly.gen(alg.field.prime_field, len(self.model.t_names), vidx, j)
-                )
-                sub = alg.scale(sub, mono)
-            out = alg.add(out, sub)
+        vec = flat_model(L).flatten(L.embed(elt))
+        z_slots = [self.k_slots + idx for idx, _ in structure.adjoined]
+        out = {}
+        for e, c in vec.items():
+            exp = list(e[: self.k_slots]) + [0] * self.pad
+            for slot, power in zip(z_slots, e[self.k_slots :]):
+                exp[slot] = power
+            out[tuple(exp)] = c
         return out
 
 
@@ -312,7 +264,7 @@ def verify_structure_oracle(
     eps_vecs = []
     checks = []
     for rec in structure.nilpotents:
-        a, n = spec.entries[rec.entry_index]
+        a, _ = spec.entries[rec.entry_index]
         m = rec.order_exponent
         root_vec = conc.eval_residue_element(structure, rec.root)
         target = conc.scalar_base(a)

@@ -94,89 +94,6 @@ class Report:
         return out
 
 
-def parse_report(data: dict) -> Report:
-    return Report(
-        command=data["command"],
-        status=data["status"],
-        result=data.get("result"),
-        error=data.get("error"),
-    )
-
-
-# -- minimal univariate polynomials over tower elements (minpoly parsing) -----
-
-
-class _GenPoly:
-    """Polynomial in the generator being adjoined, with tower coefficients."""
-
-    __slots__ = ("tower", "coeffs")
-
-    def __init__(self, tower: FieldTower, coeffs: list):
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        self.tower = tower
-        self.coeffs = coeffs
-
-    @classmethod
-    def const(cls, tower: FieldTower, value: TowerElement) -> "_GenPoly":
-        return cls(tower, [value])
-
-    @classmethod
-    def gen(cls, tower: FieldTower) -> "_GenPoly":
-        return cls(tower, [tower.zero, tower.one])
-
-    def _coerce(self, other):
-        if isinstance(other, _GenPoly):
-            return other
-        return _GenPoly.const(self.tower, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.tower.zero
-        out = [
-            (self.coeffs[i] if i < len(self.coeffs) else z)
-            + (other.coeffs[i] if i < len(other.coeffs) else z)
-            for i in range(n)
-        ]
-        return _GenPoly(self.tower, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _GenPoly(self.tower, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return _GenPoly(self.tower, [])
-        z = self.tower.zero
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return _GenPoly(self.tower, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = _GenPoly.const(self.tower, self.tower.one)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-
 # -- session parsing -----------------------------------------------------------
 
 
@@ -211,18 +128,21 @@ def _parse_tower_element(K: FieldTower, text: str, line: int) -> TowerElement:
     )
 
 
-def _parse_minpoly(K: FieldTower, gen_name: str, text: str, line: int) -> list:
-    """Monic minimal polynomial text -> low-order coefficient list."""
-    ctx = {name: _GenPoly.const(K, val) for name, val in _tower_context(K).items()}
-    ctx[gen_name] = _GenPoly.gen(K)
-    value = parse_expression(
-        text, ctx, lambda n: _GenPoly.const(K, K.from_int(n)), div=None, line=line
-    )
-    if not isinstance(value, _GenPoly) or len(value.coeffs) < 3:
+def _parse_minpoly(K: FieldTower, gen_name: str, text: str, line: int) -> tuple:
+    """Monic minimal polynomial text -> low-order coefficient payloads.
+
+    The text is read as an element of K(gen) with gen transcendental; without
+    division its payload has denominator 1 and its numerator lists the
+    coefficients in K.
+    """
+    Kx = tower_extend(K, transcendental_layer(gen_name))
+    value = parse_expression(text, _tower_context(Kx), Kx.from_int, div=None, line=line)
+    coeffs = value.payload.num
+    if len(coeffs) < 3:
         raise ValidationError(f"minimal polynomial must have degree >= 2 in {gen_name!r}", line)
-    if not value.coeffs[-1].is_one:
+    if not TowerElement(K, coeffs[-1]).is_one:
         raise ValidationError(f"minimal polynomial must be monic in {gen_name!r}", line)
-    return value.coeffs[:-1]
+    return coeffs[:-1]
 
 
 def _parse_roots_spec(session: Session, text: str, line: int) -> list:
@@ -475,7 +395,7 @@ def _parse_variable_roots(session: Session, text: str, lineno: int) -> dict:
     """Point-level base changes only take roots of the base variables."""
     base = session.base
     exponents: dict = {}
-    for rad_text, rad, exp in _parse_roots_spec(session, text, lineno):
+    for rad_text, _, exp in _parse_roots_spec(session, text, lineno):
         if rad_text not in base.varnames:
             raise ValidationError(
                 f"point-level base change only supports base variables, got {rad_text!r}", lineno

@@ -37,10 +37,6 @@ class ZeroDivisorDetected(ExactAlgebraError):
         super().__init__(message or f"zero divisor witnessed at layer '{layer_name}'")
 
 
-class UnsupportedPresentation(ExactAlgebraError):
-    """The operation cannot decide the question on this field presentation."""
-
-
 class InternalInvariantViolation(ExactAlgebraError):
     """A structural self-check failed; indicates a bug, not bad input."""
 

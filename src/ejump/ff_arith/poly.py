@@ -56,16 +56,6 @@ def _grevlex_key(exp: tuple) -> tuple:
 GREVLEX = MonomialOrder("grevlex", _grevlex_key)
 LEX = MonomialOrder("lex", lambda exp: exp)
 
-_ORDERS = {"grevlex": GREVLEX, "lex": LEX}
-
-
-def order_by_name(name: str) -> MonomialOrder:
-    try:
-        return _ORDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown monomial order {name!r}") from None
-
-
 class PrimeField:
     """The field F_p with elements stored as ints in [0, p)."""
 
@@ -341,17 +331,6 @@ class MultiPoly:
             mon = "*".join(f"v{i}^{e}" for i, e in enumerate(exp) if e)
             bits.append(f"{self.dom.coeff_str(c)}{'*' + mon if mon else ''}")
         return "MultiPoly(" + " + ".join(bits) + ")"
-
-
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Exact add/sub/mul in canonical form."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def _exp_divides(small: tuple, big: tuple) -> bool:

@@ -12,6 +12,11 @@ semilinear over k0, and splitting every scalar over the k0^q-basis of
 monomials T^mu with exponents below q turns it into an honest linear system
 with a unique solution whenever a root exists.  This makes root extraction
 total: no presentation is ever rejected.
+
+`FlatModel.flatten` is the one map from a tower element to coordinates.  It
+serves the p-th root solver, the base-change structure oracle (which moves
+adjoined-layer slots to z slots) and point base change (which reads slots as
+the variables x_i and s_j).
 """
 
 from __future__ import annotations
@@ -174,7 +179,6 @@ class FlatAlgebra:
         if not u:
             return None
         basis = self.basis()
-        index = {e: i for i, e in enumerate(basis)}
         columns = [self.mul(u, {e: self.field.one}) for e in basis]
         solver = LinearSolver(self.field, len(basis))
         one_exp = (0,) * self.nslots
@@ -183,11 +187,8 @@ class FlatAlgebra:
             rhs = self.field.one if gamma == one_exp else self.field.zero
             if not solver.add_equation(coeffs, rhs):
                 return None
-        sol = solver.solution()
-        if sol is None:
-            return None
         out = {}
-        for e, c in zip(basis, sol):
+        for e, c in zip(basis, solver.solution()):
             if not c.is_zero:
                 out[e] = c
         if not self.eq(self.mul(u, out), self.one()):
@@ -233,7 +234,7 @@ class LinearSolver:
         self.rows.append((pivot, coeffs, rhs))
         return True
 
-    def solution(self) -> list | None:
+    def solution(self) -> list:
         """A solution with free variables set to zero."""
         out = [self.field.zero] * self.ncols
         for pivot_col, _, rhs in self.rows:
@@ -307,7 +308,6 @@ class FlatModel:
         return RatFunc(r.num.map_exponents(remap), r.den.map_exponents(remap), _normalized=True)
 
     def scalar_to_tower(self, c: RatFunc) -> TowerElement:
-        K = self.tower
         num = self._tpoly_to_tower(c.num)
         den = self._tpoly_to_tower(c.den)
         return num / den

@@ -231,11 +231,6 @@ def _matrix_rank(K: FieldTower, rows: list) -> int:
     return rank
 
 
-def relative_jacobian_rank(K: FieldTower, ref: str = BASE) -> int:
-    """Rank of the relation matrix of the differential presentation."""
-    return jacobian_presentation(K, ref).rank
-
-
 def pdeg(K: FieldTower, ref: str = BASE) -> int:
     """Rank of the differential module: generators minus relation rank."""
     ref = _normalize_ref(ref)

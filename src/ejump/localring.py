@@ -4,7 +4,9 @@ A closed point is a maximal ideal in triangular form: u1(x1), u2(x1,x2), ...
 each monic in its main variable.  The residue field is then an explicit
 tower, the cotangent space is a Groebner dimension count, and base change by
 roots of the base variables stays over a rational base field via the
-reparametrization t_i = s_i^(p^e_i).
+reparametrization t_i = s_i^(p^e_i).  The nilpotent roots of that base change
+become polynomials through `FlatModel.flatten` of the residue field: a slot of
+kappa is read as its variable x_i and an adjoined slot as s_j.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .ff_arith import (
     quotient_dim,
     reduce_modulo,
 )
+from .flat import flat_model
 from .tower import BaseField, FieldTower, algebraic_layer, tower_extend
 
 
@@ -239,7 +242,7 @@ def _reparametrized_field(base: BaseField, exponents: tuple, forbidden) -> tuple
     return BaseField(base.p, names), names
 
 
-def _subst_ratfunc(r: RatFunc, scales: tuple, new_field: FractionField) -> RatFunc:
+def _subst_ratfunc(r: RatFunc, scales: tuple) -> RatFunc:
     def remap(exp):
         return tuple(e * s for e, s in zip(exp, scales))
 
@@ -250,7 +253,7 @@ def _subst_ratfunc(r: RatFunc, scales: tuple, new_field: FractionField) -> RatFu
 
 def _subst_poly(f: MultiPoly, scales: tuple, new_field: FractionField) -> MultiPoly:
     return MultiPoly(
-        new_field, f.arity, {exp: _subst_ratfunc(c, scales, new_field) for exp, c in f.terms.items()}
+        new_field, f.arity, {exp: _subst_ratfunc(c, scales) for exp, c in f.terms.items()}
     )
 
 
@@ -285,59 +288,29 @@ def base_change_point(I: IdealPresentation, P: ClosedPoint, exponents) -> tuple:
         spec = spec_from_exponents(base, exponents)
         structure = artin.base_change_structure(kappa, spec)
 
-    # spec entry index -> base-variable index (entries follow variable order)
-    entry_var = [i for i, e in enumerate(exponents) if e >= 1]
-    svar = {idx: new_field.gen(entry_var[idx]) for idx in range(len(spec.entries))}
-    entry_of_layer = {name: idx for idx, name in structure.adjoined}
-
+    # flat slots of the residue field: kappa's slots are the x_i of degree >= 2,
+    # then one slot per adjoined layer, read as s_j for the variable of its entry
     n = len(P.varnames)
-    one_poly = MultiPoly.const(new_field, n, new_field.one)
-
-    def const_poly(r: RatFunc) -> MultiPoly:
-        return MultiPoly.const(new_field, n, r)
-
-    kappa_var_of_level = {}
-    lv = 0
-    for i, u in enumerate(P.generators):
-        if u.degree_in(i) >= 2:
-            lv += 1
-            kappa_var_of_level[lv] = i
-
+    entry_var = [i for i, e in enumerate(exponents) if e >= 1]
+    x_of_slot = [i for i, u in enumerate(P.generators) if u.degree_in(i) >= 2]
+    s_of_slot = [new_field.gen(entry_var[idx]) for idx, _ in structure.adjoined]
     L = structure.residue_field
-
-    def pull(level: int, payload) -> tuple:
-        """(numerator, denominator) polynomials over the new base."""
-        if level == 0:
-            return const_poly(_subst_ratfunc(payload, scales, new_field)), one_poly
-        layer = L.layers[level - 1]
-        if level <= kappa.height:
-            var = kappa_var_of_level[level]
-            mono = MultiPoly.gen(new_field, n, var)
-            num, den = const_poly(new_field.zero), one_poly
-            power = one_poly
-            for j, coeff in enumerate(payload):
-                cn, cd = pull(level - 1, coeff)
-                num = num * cd + cn * power * den
-                den = den * cd
-                power = power * mono
-            return num, den
-        entry_idx = entry_of_layer[layer.name]
-        s = svar[entry_idx]
-        num, den = const_poly(new_field.zero), one_poly
-        scalar = new_field.one
-        for j, coeff in enumerate(payload):
-            cn, cd = pull(level - 1, coeff)
-            num = num * cd + cn.scale(scalar) * den
-            den = den * cd
-            scalar = scalar * s
-        return num, den
+    model = flat_model(L)
 
     for rec in structure.nilpotents:
-        root = L.embed(rec.root)
-        num, den = pull(L.height, root.payload)
-        zval = svar[rec.entry_index] ** rec.z_power
-        lift = num - den * const_poly(zval)
-        new_P_gens.append(lift)
+        terms = []
+        for e, c in model.flatten(L.embed(rec.root)).items():
+            x_exp = [0] * n
+            for var, power in zip(x_of_slot, e):
+                x_exp[var] = power
+            coeff = _subst_ratfunc(c, scales)
+            for s, power in zip(s_of_slot, e[len(x_of_slot) :]):
+                coeff = coeff * s**power
+            terms.append((x_exp, coeff))
+        # terms differing only in their s exponents land on one x-monomial
+        lift = MultiPoly.from_terms(new_field, n, terms)
+        zval = new_field.gen(entry_var[rec.entry_index]) ** rec.z_power
+        new_P_gens.append(lift - MultiPoly.const(new_field, n, zval))
 
     new_P = _triangularize(new_base, P.varnames, tuple(new_P_gens))
     return new_I, new_P, new_base

@@ -639,18 +639,6 @@ def _fresh_root_name(K: FieldTower) -> str:
     return f"r{i}"
 
 
-def tower_arith(a: TowerElement, b: TowerElement, op: str) -> TowerElement:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def is_p_power_tower(a: TowerElement) -> bool:
     """Membership a in K^p, decided by the vanishing of its differential."""
     if a.is_zero:
@@ -672,8 +660,8 @@ def p_root_tower(a: TowerElement) -> TowerElement:
     return root
 
 
-def max_p_power_exponent(a: TowerElement, bound: int) -> int:
-    """min(bound, max k with a in K^(p^k)), by iterated root extraction."""
+def max_p_power_exponent(a: TowerElement, bound: int) -> tuple:
+    """(m, a^(1/p^m)) for m = min(bound, max k with a in K^(p^k)), by iterated root extraction."""
     if a.is_zero:
         raise DivByZero("p-power exponent of zero")
     if bound < 0:
@@ -686,4 +674,4 @@ def max_p_power_exponent(a: TowerElement, bound: int) -> int:
         except NotAPower:
             break
         m += 1
-    return m
+    return m, current

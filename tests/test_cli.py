@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,11 +8,13 @@ from ejump.cli import (
     emit_report,
     emit_session,
     main,
-    parse_report,
     parse_session,
     run_command,
 )
 from ejump.errors import ParseError, ValidationError
+
+DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
 
 CUSP_SESSION = """\
 # characteristic-2 cusp
@@ -75,6 +78,57 @@ class TestParsing:
             parse_session("base p=6 vars t\n")
 
 
+class TestMinimalPolynomial:
+    @pytest.mark.parametrize(
+        "layers, error, message",
+        [
+            (
+                "adjoin u alg 2*u^2 + t",
+                ValidationError,
+                "line 2: invalid layer 'u': line 2: minimal polynomial must be monic in 'u'",
+            ),
+            (
+                "adjoin u alg u + t",
+                ValidationError,
+                "line 2: invalid layer 'u': line 2: minimal polynomial must have degree >= 2 in 'u'",
+            ),
+            (
+                "adjoin u alg u^2 + 1/t",
+                ParseError,
+                "line 2, column 8: division is not allowed in this expression",
+            ),
+            (
+                "adjoin u alg u^2 + t adjoin u alg u^2 + t",
+                ValidationError,
+                "line 2: invalid layer 'u': generator name 'u' already in use",
+            ),
+            (
+                "adjoin t alg t^2 + t",
+                ValidationError,
+                "line 2: invalid layer 't': generator name 't' already in use",
+            ),
+        ],
+    )
+    def test_rejected(self, layers, error, message):
+        with pytest.raises(error) as err:
+            parse_session(f"base p=3 vars t\ntower K : base {layers}\n")
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_coefficient_from_lower_layer(self):
+        text = "base p=3 vars t\ntower K : base adjoin u alg u^2 + 2*t adjoin v alg v^2 + 2*u\n"
+        K = parse_session(text).towers["K"]
+        assert K.gen("v") * K.gen("v") == K.gen("u")
+        assert K.describe() == "F3(t) adjoin u alg u^2 + 2*t adjoin v alg v^2 + 2*u"
+
+    def test_algebraic_above_transcendental(self):
+        text = "base p=2 vars t\ntower K : base adjoin y trans adjoin u alg u^2 + y*u + t\n"
+        K = parse_session(text).towers["K"]
+        u, y = K.gen("u"), K.gen("y")
+        assert u * u == y * u + K.base_var("t")
+        assert K.describe() == "F2(t) adjoin y trans adjoin u alg u^2 + (y)*u + t"
+
+
 class TestCommands:
     def test_schroer_result(self):
         reports = run_session_text(CUSP_SESSION)
@@ -132,7 +186,7 @@ class TestEmission:
         reports = run_session_text(CUSP_SESSION)
         for report in reports:
             data = json.loads(emit_report(report, "json"))
-            assert parse_report(data) == report
+            assert data == report.to_dict()
 
     def test_session_json_schema_version(self):
         reports = run_session_text(CUSP_SESSION)
@@ -177,6 +231,18 @@ class TestMain:
         assert main(["--input", str(path), "--strict", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema_version"] == 1
+
+    @pytest.mark.parametrize(
+        "session, golden",
+        [
+            (ROOT / "scripts" / "cusp_session.txt", DATA / "cusp_session.json"),
+            (DATA / "two_root_session.txt", DATA / "two_root_session.json"),
+        ],
+        ids=["cusp", "two_root"],
+    )
+    def test_json_bytes_match_golden(self, session, golden, capsysbinary):
+        assert main(["--input", str(session), "--format", "json"]) == 0
+        assert capsysbinary.readouterr().out == golden.read_bytes()
 
     def test_missing_file(self, capsys):
         assert main(["--input", "/nonexistent/session.txt"]) == 1

@@ -21,16 +21,16 @@ def sqrt_t():
 class TestRankExamples:
     def test_inseparable_over_base_rank_zero(self):
         # relation d(u^2 - t) over the base kills nothing: 2u = 0
-        assert kaehler.relative_jacobian_rank(sqrt_t(), "base") == 0
+        assert kaehler.jacobian_presentation(sqrt_t(), "base").rank == 0
 
     def test_inseparable_over_prime_rank_one(self):
         # dt = d(u^2) = 0 forces one relation among dt, du
-        assert kaehler.relative_jacobian_rank(sqrt_t(), "prime") == 1
+        assert kaehler.jacobian_presentation(sqrt_t(), "prime").rank == 1
 
     def test_transcendental_no_relations(self):
         k = FieldTower(BaseField(3, ("t",)))
         K = tower_extend(k, transcendental_layer("y"))
-        assert kaehler.relative_jacobian_rank(K, "base") == 0
+        assert kaehler.jacobian_presentation(K, "base").rank == 0
 
 
 class TestPdegTrdeg:
