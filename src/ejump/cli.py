@@ -258,8 +258,8 @@ def _parse_tower(session: Session, line: str, lineno: int) -> None:
                 K = tower_extend(K, inseparable_root_layer(K, gen_name, radicand, int(exp_text)))
             else:
                 raise ParseError(f"unknown layer kind {kind!r}", lineno, 1)
-        except ParseError:
-            raise
+        except (ParseError, ValidationError):
+            raise  # already carries the line
         except ExactAlgebraError as exc:
             raise ValidationError(f"invalid layer {gen_name!r}: {exc}", lineno) from exc
     session.towers[name] = K

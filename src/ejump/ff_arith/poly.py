@@ -8,10 +8,24 @@ functions; see `ratfunc.FractionField` for the latter.
 
 The fixed monomial orders are degree-reverse-lexicographic (the default used
 for canonical forms) and lexicographic.
+
+`poly_gcd` works in a dense recursive layout over F_p (Brown 1971): the
+variables are the sorted union of both supports, the highest one is the main
+variable, and an element is a list of coefficients one level down.  Contents
+come from recursive gcds and primitive parts from exact division; the gcd of
+primitive parts comes from a primitive pseudo-remainder sequence.  Before that
+sequence, an evaluation test proves the common case of a gcd free of the main
+variable: at a point of F_p where the leading coefficients of both inputs do
+not vanish, g = gcd(a, b) keeps its degree (lc(g) divides lc(a)) and divides
+both images, so an image gcd of 1 proves that g is the gcd of all
+coefficients.  At most p points are tried; when none proves it (over F_2 a
+leading coefficient t^2 + t vanishes everywhere) the sequence runs.
 """
 
 from __future__ import annotations
 
+import functools
+import random
 from typing import Callable, Iterable
 
 from ..errors import ArityMismatch, BothZero, DivByZero, InternalInvariantViolation, NotAPower
@@ -366,79 +380,245 @@ def monic(a: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
     return a.scale(a.dom.inv(c))
 
 
-# -- univariate views (used by the gcd) -------------------------------
+# -- gcd: a dense recursive kernel over F_p ----------------------------
+#
+# A level-0 element is an int in [0, p).  A level-k element is a list of
+# level-(k-1) coefficients, lowest degree first, with no zero at the end; its
+# main variable is the k-th of the sorted support.  Zero is falsy at every
+# level (0 or []).  No function mutates a list it was given or has returned.
 
 
-def _as_univariate(f: MultiPoly, var: int) -> dict:
-    """Split into {degree in var: coefficient polynomial with var-degree 0}."""
-    coeffs: dict = {}
-    for exp, c in f.terms.items():
-        k = exp[var]
-        e2 = list(exp)
-        e2[var] = 0
-        bucket = coeffs.setdefault(k, {})
-        bucket[tuple(e2)] = c
-    return {k: MultiPoly(f.dom, f.arity, t) for k, t in coeffs.items()}
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _from_univariate(dom, arity: int, var: int, coeffs: dict) -> MultiPoly:
-    terms: dict = {}
-    for k, poly in coeffs.items():
-        for exp, c in poly.terms.items():
-            e2 = list(exp)
-            e2[var] = k
-            terms[tuple(e2)] = c
-    return MultiPoly(dom, arity, terms)
+def _is_const(x, k: int) -> bool:
+    for _ in range(k):
+        if len(x) != 1:
+            return False
+        x = x[0]
+    return True
 
 
-def _pseudo_rem(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
-    """Pseudo-remainder of f by g with respect to `var`."""
-    dg = g.degree_in(var)
-    gc = _as_univariate(g, var)
-    lc_g = gc[dg]
+def _one(k: int):
+    x = 1
+    for _ in range(k):
+        x = [x]
+    return x
+
+
+def _add(a, b, k: int, p: int, s: int = 1):
+    """a + s*b at level k, for s in F_p."""
+    if k == 0:
+        return (a + s * b) % p
+    out = list(a)
+    if len(out) < len(b):
+        out.extend([0 if k == 1 else []] * (len(b) - len(out)))
+    for i, y in enumerate(b):
+        if y:
+            out[i] = (out[i] + s * y) % p if k == 1 else _add(out[i], y, k - 1, p, s)
+    return _trim(out)
+
+
+def _mul(a, b, k: int, p: int):
+    if k == 0:
+        return a * b % p
+    if not a or not b:
+        return []
+    if k == 1:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return [c % p for c in out]
+    out = [[]] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = _add(out[i + j], _mul(x, y, k - 1, p), k - 1, p)
+    return out
+
+
+def _div(a, b, k: int, p: int):
+    """a / b at level k; raises unless b divides a."""
+    if k == 0:
+        return a * pow(b, p - 2, p) % p
+    if not a:
+        return []
+    db = len(b) - 1
+    if len(a) <= db:
+        raise InternalInvariantViolation("exact polynomial division left a remainder")
+    r = list(a)
+    q = [0 if k == 1 else []] * (len(a) - db)
+    lb = b[-1]
+    inv = pow(lb, p - 2, p) if k == 1 else None
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db]
+        if not c:
+            continue
+        if k == 1:
+            qc = q[i] = c * inv % p
+            for j in range(db):
+                r[i + j] = (r[i + j] - qc * b[j]) % p
+        else:
+            qc = q[i] = _div(c, lb, k - 1, p)
+            for j in range(db):
+                r[i + j] = _add(r[i + j], _mul(qc, b[j], k - 1, p), k - 1, p, p - 1)
+    if any(r[:db]):
+        raise InternalInvariantViolation("exact polynomial division left a remainder")
+    return q
+
+
+def _urem(a: list, b: list, p: int) -> list:
+    """Remainder of a by the monic b, both univariate."""
+    r = list(a)
+    db = len(b) - 1
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            s = i - db
+            for j in range(db):
+                r[s + j] = (r[s + j] - c * b[j]) % p
+    del r[db:]
+    return _trim(r)
+
+
+def _ugcd(a: list, b: list, p: int) -> list:
+    """Monic gcd of two nonzero univariate elements (Euclid)."""
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _urem(a, b, p)
+    return a
+
+
+def _eval(x, k: int, pt: tuple, p: int) -> int:
+    """x at level k with its variables set to pt[0..k-1]."""
+    if k == 0:
+        return x
+    v = pt[k - 1]
+    acc = 0
+    for c in reversed(x):
+        acc = (acc * v + (c if k == 1 else _eval(c, k - 1, pt, p))) % p
+    return acc
+
+
+@functools.cache
+def _points(p: int, n: int) -> tuple:
+    """p distinct points of F_p^n in a fixed pseudo-random order."""
+    rng = random.Random(0)
+    return tuple(tuple(i // p**j % p for j in range(n)) for i in rng.sample(range(p**n), p))
+
+
+def _coprime_in_main(a: list, b: list, k: int, p: int) -> bool:
+    """True when an evaluation proves that gcd(a, b) has degree 0 in the main variable.
+
+    At a point where lc(a) and lc(b) do not vanish, g = gcd(a, b) keeps its
+    degree, because lc(g) divides lc(a); and g(pt) divides both images.  So
+    an image gcd of 1 proves deg g = 0.
+    """
+    for pt in _points(p, k - 1):
+        if _eval(a[-1], k - 1, pt, p) and _eval(b[-1], k - 1, pt, p):
+            ia = [_eval(c, k - 1, pt, p) for c in a]
+            ib = [_eval(c, k - 1, pt, p) for c in b]
+            if len(_ugcd(ia, ib, p)) == 1:
+                return True
+    return False
+
+
+def _content(coeffs, k: int, p: int):
+    """gcd of the nonzero level-k elements in coeffs; exactly 1 once it is constant."""
+    g = None
+    for c in sorted((c for c in coeffs if c), key=len):
+        g = c if g is None else _gcd(g, c, k, p)
+        if _is_const(g, k):
+            return _one(k)
+    return g
+
+
+def _split_content(a: list, k: int, p: int) -> tuple:
+    """(content, primitive part) of a level-k element in its main variable."""
+    c = _content(a, k - 1, p)
+    if _is_const(c, k - 1):
+        return c, a
+    return c, [_div(x, c, k - 1, p) for x in a]
+
+
+def _prem(f: list, g: list, k: int, p: int) -> list:
+    """A pseudo-remainder of f by g in the main variable of level k."""
+    dg = len(g) - 1
+    lg = g[-1]
     r = f
-    while not r.is_zero and r.degree_in(var) >= dg:
-        dr = r.degree_in(var)
-        lc_r = _as_univariate(r, var)[dr]
-        shift = [0] * f.arity
-        shift[var] = dr - dg
-        r = r * lc_g - g.mul_term(tuple(shift), f.dom.one) * lc_r
+    while len(r) > dg:
+        lr = r[-1]
+        s = len(r) - 1 - dg
+        new = [_mul(lg, c, k - 1, p) for c in r]
+        for j, y in enumerate(g):
+            new[s + j] = _add(new[s + j], _mul(lr, y, k - 1, p), k - 1, p, p - 1)
+        r = _trim(new)
     return r
 
 
-def _content_pp(f: MultiPoly, var: int) -> tuple:
-    """(content, primitive part) of f viewed as univariate in `var`."""
-    coeffs = _as_univariate(f, var)
-    content = None
-    for k in sorted(coeffs):
-        content = coeffs[k] if content is None else poly_gcd(content, coeffs[k])
-        if content.is_constant:
-            break
-    content = monic(content)
-    if content.is_constant:
-        return content, monic(f)
-    return content, monic(divexact(f, content))
+def _gcd(a, b, k: int, p: int):
+    """A gcd of two nonzero level-k elements, up to a unit of F_p."""
+    if k == 1:
+        return _ugcd(a, b, p)
+    if len(a) == 1 or len(b) == 1 or _coprime_in_main(a, b, k, p):
+        return [_content(a + b, k - 1, p)]
+    ca, f = _split_content(a, k, p)
+    cb, g = _split_content(b, k, p)
+    c = _gcd(ca, cb, k - 1, p)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        r = _prem(f, g, k, p)
+        f, g = g, (_split_content(r, k, p)[1] if r else r)
+    return [_mul(c, x, k - 1, p) for x in f]
 
 
-def _univariate_gcd(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
-    while not b.is_zero:
-        # plain Euclid: divide with remainder after making the divisor monic
-        db = b.degree_in(var)
-        bc = _as_univariate(b, var)
-        b_monic = b.scale(a.dom.inv(bc[db].constant_value()))
-        r = a
-        while not r.is_zero and r.degree_in(var) >= db:
-            dr = r.degree_in(var)
-            rc = _as_univariate(r, var)[dr]
-            shift = [0] * a.arity
-            shift[var] = dr - db
-            r = r - b_monic.mul_term(tuple(shift), rc.constant_value())
-        a, b = b_monic, r
-    return monic(a)
+def _dense(f: MultiPoly, support: list):
+    """f as a level-len(support) element; support[-1] is the main variable."""
+
+    def build(items, k):
+        if k == 0:
+            return items[0][1]
+        v = support[k - 1]
+        buckets: dict = {}
+        for item in items:
+            buckets.setdefault(item[0][v], []).append(item)
+        out = [0 if k == 1 else []] * (max(buckets) + 1)
+        for e, sub in buckets.items():
+            out[e] = build(sub, k - 1)
+        return out
+
+    return build(list(f.terms.items()), len(support))
+
+
+def _sparse(x, support: list, dom, arity: int) -> MultiPoly:
+    terms: dict = {}
+    exp = [0] * arity
+
+    def walk(x, k):
+        if k == 0:
+            terms[tuple(exp)] = x
+            return
+        v = support[k - 1]
+        for e, c in enumerate(x):
+            if c:
+                exp[v] = e
+                walk(c, k - 1)
+        exp[v] = 0
+
+    walk(x, len(support))
+    return MultiPoly(dom, arity, terms)
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Monic-normalized gcd over F_p via content/primitive-part recursion."""
+    """Monic-normalized gcd over F_p, computed by the dense kernel above."""
     if a.is_zero and b.is_zero:
         raise BothZero("gcd(0, 0)")
     if a.is_zero:
@@ -448,23 +628,11 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if a.is_constant or b.is_constant:
         return MultiPoly.const(a.dom, a.arity, a.dom.one)
     va, vb = a.support_vars(), b.support_vars()
-    common = va & vb
-    if not common:
+    if not va & vb:
         return MultiPoly.const(a.dom, a.arity, a.dom.one)
-    if va == vb and len(va) == 1:
-        return _univariate_gcd(a, b, next(iter(va)))
-    v = max(common)
-    ca, pa = _content_pp(a, v)
-    cb, pb = _content_pp(b, v)
-    c = poly_gcd(ca, cb)
-    f, g = (pa, pb) if pa.degree_in(v) >= pb.degree_in(v) else (pb, pa)
-    while not g.is_zero:
-        r = _pseudo_rem(f, g, v)
-        if r.is_zero:
-            f, g = g, r
-        else:
-            f, g = g, _content_pp(r, v)[1]
-    return monic(c * f)
+    support = sorted(va | vb)
+    g = _gcd(_dense(a, support), _dense(b, support), len(support), a.dom.p)
+    return monic(_sparse(g, support, a.dom, a.arity))
 
 
 def poly_lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -269,6 +269,8 @@ class FlatModel:
             vidx = self.transc_map[level]
             num = self._upoly_vec(level, payload.num, vidx)
             den = self._upoly_vec(level, payload.den, vidx)
+            if den == alg.one():
+                return num
             den_inv = alg.invert(den)
             if den_inv is None:
                 raise ZeroDivisorDetected(layer.name, "denominator is a zero divisor in the flat model")

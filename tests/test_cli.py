@@ -85,12 +85,12 @@ class TestMinimalPolynomial:
             (
                 "adjoin u alg 2*u^2 + t",
                 ValidationError,
-                "line 2: invalid layer 'u': line 2: minimal polynomial must be monic in 'u'",
+                "line 2: minimal polynomial must be monic in 'u'",
             ),
             (
                 "adjoin u alg u + t",
                 ValidationError,
-                "line 2: invalid layer 'u': line 2: minimal polynomial must have degree >= 2 in 'u'",
+                "line 2: minimal polynomial must have degree >= 2 in 'u'",
             ),
             (
                 "adjoin u alg u^2 + 1/t",

@@ -1,7 +1,12 @@
+import json
+import os
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ejump.errors import BothZero, NotAPower
+from ejump.ff_arith import poly
 from ejump.ff_arith import (
     GREVLEX,
     LEX,
@@ -19,6 +24,8 @@ from .strategies import poly_pairs, polys
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def P(dom, arity, *items):
@@ -138,3 +145,90 @@ def test_gcd_common_factor(pair, c):
     g1 = poly_gcd(a * c, b * c)
     g2 = monic(poly_gcd(a, b) * c)
     assert g1 == g2
+
+
+# -- the gcd against sympy ----------------------------------------------------
+
+
+def _to_sympy(sympy, *fs) -> list:
+    gens = sympy.symbols(f"v0:{fs[0].arity}")
+    return [sympy.Poly.from_dict(dict(f.terms), *gens, modulus=f.dom.p) for f in fs]
+
+
+def _sympy_gcd(sympy, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """gcd(a, b) computed by sympy, brought back as a monic MultiPoly."""
+    G = sympy.gcd(*_to_sympy(sympy, a, b))
+    return monic(MultiPoly.from_terms(a.dom, a.arity, ((e, int(c) % a.dom.p) for e, c in G.terms())))
+
+
+def _assert_is_gcd(sympy, a: MultiPoly, b: MultiPoly, g: MultiPoly):
+    """g divides both inputs and the cofactors are coprime, checked by sympy."""
+    A, B, G = _to_sympy(sympy, a, b, g)
+    qa, ra = A.div(G)
+    qb, rb = B.div(G)
+    assert ra.is_zero and rb.is_zero
+    assert sympy.gcd(qa, qb).total_degree() == 0
+
+
+def _f5_pairs():
+    with open(os.path.join(DATA, "f5_gcd_pairs.json"), encoding="utf-8") as handle:
+        specs = json.load(handle)["gcd_pairs"]
+    return [pytest.param(spec, id=spec["name"]) for spec in specs]
+
+
+@pytest.mark.parametrize("spec", _f5_pairs())
+def test_f5_pair_against_sympy(spec):
+    sympy = pytest.importorskip("sympy")
+    dom = PrimeField(spec["p"])
+    a, b = (MultiPoly.from_terms(dom, spec["arity"], spec[k]) for k in ("a", "b"))
+    _assert_is_gcd(sympy, a, b, poly_gcd(a, b))
+
+
+@st.composite
+def planted_gcd_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    arity = draw(st.integers(1, 3))
+    a, b, c = (draw(polys(p=p, arity=arity, max_degree=2, max_terms=3, nonzero=True)) for _ in range(3))
+    return a * c, b * c
+
+
+@given(planted_gcd_inputs())
+def test_gcd_matches_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    a, b = pair
+    assert poly_gcd(a, b) == _sympy_gcd(sympy, a, b)
+
+
+class TestGcdFallback:
+    """Inputs where no evaluation point proves coprimality, so the remainder sequence runs."""
+
+    @pytest.fixture
+    def prem_calls(self, monkeypatch):
+        calls = []
+        original = poly._prem
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(poly, "_prem", counting)
+        return calls
+
+    def test_leading_coefficient_vanishes_everywhere(self, prem_calls):
+        # over F_2, t^2 + t vanishes at both points, so no point is usable
+        t = MultiPoly.gen(F2, 2, 0)
+        x = MultiPoly.gen(F2, 2, 1)
+        one = MultiPoly.from_int(F2, 2, 1)
+        g = (t * t + t) * x + one
+        a, b = g * (x + t), g * (x + t + one)
+        assert poly_gcd(a, b) == g
+        assert prem_calls
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_images_share_a_factor_everywhere(self, prem_calls, p):
+        # x + t^p - t specializes to x at every point of F_p, yet gcd(x, x + t^p - t) = 1
+        dom = PrimeField(p)
+        t = MultiPoly.gen(dom, 2, 0)
+        x = MultiPoly.gen(dom, 2, 1)
+        assert poly_gcd(x, x + t**p - t) == MultiPoly.from_int(dom, 2, 1)
+        assert prem_calls
