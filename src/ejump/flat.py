@@ -15,8 +15,9 @@ total: no presentation is ever rejected.
 
 `FlatModel.flatten` is the one map from a tower element to coordinates.  It
 serves the p-th root solver, the base-change structure oracle (which moves
-adjoined-layer slots to z slots) and point base change (which reads slots as
-the variables x_i and s_j).
+adjoined-layer slots to z slots), point base change (which reads slots as
+the variables x_i and s_j) and the Kaehler ranks, whose one elimination is
+`FlatAlgebra.rank`.
 """
 
 from __future__ import annotations
@@ -194,6 +195,35 @@ class FlatAlgebra:
         if not self.eq(self.mul(u, out), self.one()):
             return None
         return out
+
+    def rank(self, rows: list) -> int:
+        """Rank of a matrix of vectors by Gaussian elimination.
+
+        The algebra is asserted to be a field, so every pivot must be a unit; a
+        pivot that `invert` rejects witnesses a reducible minimal polynomial.
+        """
+        work = [list(row) for row in rows]
+        rank = 0
+        for col in range(len(work[0]) if work else 0):
+            pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
+            if pivot_row is None:
+                continue
+            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+            pivot = work[rank]
+            inv = self.invert(pivot[col])
+            if inv is None:
+                name = self.layers[-1].name
+                raise ZeroDivisorDetected(
+                    name, f"a rank pivot is a zero divisor in the flat model up to layer '{name}'"
+                )
+            for r in range(rank + 1, len(work)):
+                if work[r][col]:
+                    factor = self.mul(work[r][col], inv)
+                    work[r] = [self.sub(a, self.mul(factor, b)) for a, b in zip(work[r], pivot)]
+            rank += 1
+            if rank == len(work):
+                break
+        return rank
 
 
 class LinearSolver:

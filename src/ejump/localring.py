@@ -442,12 +442,13 @@ def classical_jacobian_edim(I: IdealPresentation, P: ClosedPoint) -> int:
     with _not_prime_on_zero_divisor():
         kappa, images = P.residue_tower()
         n = len(P.varnames)
+        model = flat_model(kappa)
         rows = []
         for g in I.generators:
             row = []
             for j in range(n):
                 dg = g.derivative(j)
-                row.append(dg.evaluate(images, lambda r: kappa.from_base(r)))
+                row.append(model.flatten(dg.evaluate(images, lambda r: kappa.from_base(r))))
             rows.append(row)
-        rank = kaehler._matrix_rank(kappa, rows) if rows else 0
+        rank = model.algebra.rank(rows)
     return n - rank

@@ -15,6 +15,7 @@ immutable; every operation is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ArityMismatch,
@@ -78,7 +79,7 @@ class BaseField:
     def __post_init__(self):
         object.__setattr__(self, "varnames", tuple(self.varnames))
 
-    @property
+    @cached_property
     def field(self) -> FractionField:
         return FractionField(self.p, self.varnames)
 

@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import given
 
 from ejump import kaehler
+from ejump.errors import ZeroDivisorDetected
 from ejump.tower import (
     BaseField,
     FieldTower,
@@ -78,6 +80,16 @@ class TestDifferentialIsZero:
         assert not kaehler.differential_is_zero(t)
         assert not kaehler.differential_is_zero(t * t + t)
         assert kaehler.differential_is_zero(t * t)
+
+    def test_reducible_tower_raises(self):
+        # u^2 - t^2 = (u - t)(u + t) is reducible, and v^2 = u + t makes
+        # 2u - t = -(u + t) a rank pivot, which is a zero divisor
+        k = FieldTower(BaseField(3, ("t",)))
+        t = k.base_var("t")
+        K1 = tower_extend(k, algebraic_layer(k, "u", [-(t * t), k.zero]))
+        K = tower_extend(K1, algebraic_layer(K1, "v", [-(K1.gen("u") + K1.embed(t)), K1.zero]))
+        with pytest.raises(ZeroDivisorDetected):
+            kaehler.differential_is_zero(K.gen("u") - K.base_var("t"))
 
 
 def test_presentation_shape():

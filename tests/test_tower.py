@@ -168,6 +168,7 @@ def test_p_power_membership_consistency(x):
     assert is_p_power_tower(x) == has_root
     if has_root:
         assert root ** x.tower.p == x
+    assert is_p_power_tower(x ** x.tower.p)
 
 
 @given(towers(), st.integers(0, 2**32 - 1))
