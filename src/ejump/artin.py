@@ -2,9 +2,10 @@
 
 The base change K (x)_k k(a1^(1/p^n1), ..., ar^(1/p^nr)) is an Artin local
 ring: a truncated polynomial algebra over a residue field obtained from K by
-adjoining the missing roots.  Entries are processed sequentially: for each
-radicand, the largest extractable p-power root m decides whether the residue
-field grows (m < n) and whether a nilpotent of order p^m appears (m >= 1).
+adjoining the missing roots.  Entries are processed one at a time, fewest
+p-power roots in the residue field so far first: an entry's largest
+extractable p-power root m decides whether the residue field grows (m < n)
+and whether a nilpotent of order p^m appears (m >= 1).
 
 The verification oracle rebuilds the concrete finite-dimensional algebra
 K[z1..zr]/(zi^(p^ni) - ai) and checks the claimed structure clause by
@@ -123,15 +124,34 @@ def _fresh_name(K: FieldTower, stem: str) -> str:
 
 
 def base_change_structure(K: FieldTower, spec: InseparableExtensionSpec) -> TruncatedStructure:
-    """Process spec entries sequentially, growing the residue field as needed."""
+    """Walk the spec entries, growing the residue field as needed.
+
+    The next entry is always one whose radicand has the fewest p-power roots
+    (the smallest m) in the residue field grown so far, ties by position.  In
+    the given order instead, a nilpotent recorded early can fall into m^2 once
+    a later entry adjoins a deeper root: for K = F_2(t) and entries (t^2, 2),
+    (t, 2), the first gives z1^2 - t, the second z1 - z2^2, and
+    z1^2 - t = (z1 - z2^2)^2.  Exponents only grow with the field, so each
+    entry's exponent is a lower bound, computed or refreshed from its last
+    root only when the entry is the candidate.
+    """
     for a, _ in spec.entries:
         if a.num.arity != K.base.d:
             raise ArityMismatch("radicand does not live in the base field of K")
     L = K
+    # entry index -> (lower bound on m, p^m-th root of the radicand, tower it was computed in)
+    pending = {idx: (0, K.from_base(a), None) for idx, (a, _) in enumerate(spec.entries)}
     nilpotents = []
     adjoined = []
-    for idx, (a, n) in enumerate(spec.entries):
-        m, root_m = max_p_power_exponent(L.from_base(a), n)
+    while pending:
+        idx = min(pending, key=lambda i: (pending[i][0], i))
+        m, root_m, seen = pending[idx]
+        n = spec.entries[idx][1]
+        if m < n and seen is not L:
+            more, root_m = max_p_power_exponent(L.embed(root_m), n - m)
+            pending[idx] = (m + more, root_m, L)
+            continue
+        del pending[idx]
         if m >= n:
             nilpotents.append(NilpotentRecord(idx, n, root_m, 1))
         else:
@@ -140,6 +160,7 @@ def base_change_structure(K: FieldTower, spec: InseparableExtensionSpec) -> Trun
             adjoined.append((idx, name))
             if m >= 1:
                 nilpotents.append(NilpotentRecord(idx, m, root_m, K.p ** (n - m)))
+    nilpotents.sort(key=lambda rec: rec.entry_index)
     structure = TruncatedStructure(K, spec, L, tuple(nilpotents), tuple(adjoined))
     structure.check_bookkeeping()
     return structure

@@ -36,6 +36,11 @@ class FlatLayer:
     reduction: dict  # coordinates of gen^degree over earlier slots
 
 
+def _top_slot(u: dict) -> int:
+    """The highest slot with a nonzero exponent in u, or -1 for a scalar."""
+    return max((slot for e in u for slot, k in enumerate(e) if k), default=-1)
+
+
 class FlatAlgebra:
     """Free module over F_p(T) with triangular monic generator reductions."""
 
@@ -168,18 +173,66 @@ class FlatAlgebra:
                 base = self.mul(base, base)
         return result
 
-    def gen_p_power(self, slot: int, r: int) -> dict:
-        """gen(slot)^(p^r), cached."""
-        key = (slot, r)
+    def gen_power(self, slot: int, n: int) -> dict:
+        """gen(slot)^n, cached."""
+        key = (slot, n)
         if key not in self._gen_power_cache:
-            self._gen_power_cache[key] = self.pow(self.gen(slot), self.field.p**r)
+            self._gen_power_cache[key] = self.pow(self.gen(slot), n)
         return self._gen_power_cache[key]
 
+    def _frobenius_below(self, u: dict, slot: int):
+        """u^q, which lies below `slot`, or None if the slot's layer is not inseparable.
+
+        `slot` is u's highest slot.  An inseparable layer is z^q = r with q a
+        power of p and r below the slot; coefficients and monomials then go to
+        their q-th powers, and z^(q k) = r^k.
+        """
+        layer = self.layers[slot]
+        q = layer.degree
+        while q % self.field.p == 0:
+            q //= self.field.p
+        if q != 1 or any(e[slot] for e in layer.reduction):
+            return None
+        q = layer.degree
+
+        def frob(e):
+            return tuple(q * k for k in e)
+
+        out = self.zero()
+        for e, c in u.items():
+            c_q = RatFunc(c.num.map_exponents(frob), c.den.map_exponents(frob), _normalized=True)
+            term = self.scalar(c_q)
+            for s, k in enumerate(e):
+                if k:
+                    term = self.mul(term, self.gen_power(s, q * k))
+            out = self.add(out, term)
+        return out
+
+    def is_unit(self, u: dict) -> bool:
+        """Whether u is invertible.
+
+        u is a unit iff u^q is, so the test descends by `_frobenius_below` as
+        far as it goes and asks `invert` only of what is left.
+        """
+        top = _top_slot(u)
+        while top >= 0 and (below := self._frobenius_below(u, top)) is not None:
+            u, top = below, _top_slot(below)
+        return bool(u) and (top < 0 or self.invert(u) is not None)
+
     def invert(self, u: dict):
-        """Inverse of u, or None when u is zero or a zero divisor."""
+        """Inverse of u, or None when u is zero or a zero divisor.
+
+        A scalar takes one field inversion.  Otherwise u * x = 1 is solved over
+        the monomials of the slots up to u's highest one: reductions are
+        triangular, so those slots span a subalgebra, and it holds the inverse.
+        """
         if not u:
             return None
-        basis = self.basis()
+        top = _top_slot(u)
+        if top < 0:
+            (c,) = u.values()
+            return self.scalar(c.inv())
+        basis = [e for e in self.basis() if not any(e[top + 1 :])]
         columns = [self.mul(u, {e: self.field.one}) for e in basis]
         solver = LinearSolver(self.field, len(basis))
         one_exp = (0,) * self.nslots
@@ -197,10 +250,11 @@ class FlatAlgebra:
         return out
 
     def rank(self, rows: list) -> int:
-        """Rank of a matrix of vectors by Gaussian elimination.
+        """Rank of a matrix of vectors by fraction-free Gaussian elimination.
 
         The algebra is asserted to be a field, so every pivot must be a unit; a
-        pivot that `invert` rejects witnesses a reducible minimal polynomial.
+        pivot that `is_unit` rejects witnesses a reducible minimal polynomial.
+        Rows below a pivot are multiplied by it, so no inverse is needed.
         """
         work = [list(row) for row in rows]
         rank = 0
@@ -210,16 +264,17 @@ class FlatAlgebra:
                 continue
             work[rank], work[pivot_row] = work[pivot_row], work[rank]
             pivot = work[rank]
-            inv = self.invert(pivot[col])
-            if inv is None:
+            if not self.is_unit(pivot[col]):
                 name = self.layers[-1].name
                 raise ZeroDivisorDetected(
                     name, f"a rank pivot is a zero divisor in the flat model up to layer '{name}'"
                 )
             for r in range(rank + 1, len(work)):
-                if work[r][col]:
-                    factor = self.mul(work[r][col], inv)
-                    work[r] = [self.sub(a, self.mul(factor, b)) for a, b in zip(work[r], pivot)]
+                c = work[r][col]
+                if c:
+                    work[r] = [
+                        self.sub(self.mul(pivot[col], a), self.mul(c, b)) for a, b in zip(work[r], pivot)
+                    ]
             rank += 1
             if rank == len(work):
                 break
@@ -443,7 +498,7 @@ def p_power_root(algebra: FlatAlgebra, target: dict, r: int):
     n = len(basis)
 
     # p^r-th powers of all basis monomials, built multiplicatively
-    gen_pows = [algebra.gen_p_power(slot, r) for slot in range(algebra.nslots)]
+    gen_pows = [algebra.gen_power(slot, algebra.field.p**r) for slot in range(algebra.nslots)]
     powers = {(0,) * algebra.nslots: algebra.one()}
     for e in basis:
         if e in powers:

@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ejump import artin, kaehler
 from ejump.errors import ArityMismatch, CapExceeded
+from ejump.flat import flat_model
 from ejump.instances import random_base_element, random_tower, sqrt_t_tower
 from ejump.tower import BaseField, FieldTower
 
@@ -81,22 +83,46 @@ class TestEjumpField:
         assert artin.ejump_field(k, spec) == 0
 
 
+def random_spec(seed):
+    """A random tower with two or three (radicand, exponent) entries."""
+    rng = random.Random(seed)
+    p = rng.choice((2, 3))
+    rt = random_tower(rng, p, rng.randint(1, 2), max_layers=2, dim_budget=8)
+    K = rt.tower
+    entries = []
+    for _ in range(rng.randint(2, 3)):
+        if rt.inseparable_radicands and rng.random() < 0.5:
+            a = rt.inseparable_radicands[0]
+        else:
+            a = random_base_element(rng, K.base, allow_fraction=False)
+        entries.append((a, rng.randint(1, 2)))
+    return rng, K, artin.InseparableExtensionSpec.of(entries)
+
+
+def differential_edim(K, spec):
+    """r - rank_K(da_1, ..., da_r) in the differentials of K over F_p."""
+    rows = list(kaehler.jacobian_presentation(K, "prime").matrix)
+    das = [kaehler.differential_vector(K.from_base(a), "prime") for a, _ in spec.entries]
+    alg = flat_model(K).algebra
+    return len(das) - (alg.rank(rows + das) - alg.rank(rows))
+
+
+# draws on which walking the entries in their given order over-counted edim
+ORDER_SENSITIVE_SEEDS = (2, 107, 174, 16715, 25722, 123218, 62459348)
+
+
 class TestOrderIndependence:
     @given(st.integers(0, 2**32 - 1))
+    @example(seed=2)
+    @example(seed=107)
+    @example(seed=174)
+    @example(seed=16715)
+    @example(seed=25722)
+    @example(seed=123218)
+    @example(seed=62459348)
     def test_permutations(self, seed):
-        rng = random.Random(seed)
-        p = rng.choice((2, 3))
-        rt = random_tower(rng, p, rng.randint(1, 2), max_layers=2, dim_budget=8)
-        K = rt.tower
-        entries = []
-        for _ in range(rng.randint(2, 3)):
-            if rt.inseparable_radicands and rng.random() < 0.5:
-                a = rt.inseparable_radicands[0]
-            else:
-                a = random_base_element(rng, K.base, allow_fraction=False)
-            entries.append((a, rng.randint(1, 2)))
-        spec = artin.InseparableExtensionSpec.of(entries)
-        order = list(range(len(entries)))
+        rng, K, spec = random_spec(seed)
+        order = list(range(len(spec.entries)))
         rng.shuffle(order)
         permuted = spec.permuted(order)
         s1 = artin.base_change_structure(K, spec)
@@ -104,6 +130,41 @@ class TestOrderIndependence:
         assert s1.edim == s2.edim
         assert s1.residue_degree == s2.residue_degree
         assert sorted(s1.order_exponents) == sorted(s2.order_exponents)
+
+    @pytest.mark.parametrize("seed", ORDER_SENSITIVE_SEEDS)
+    def test_every_order_matches_differential_rank(self, seed):
+        _, K, spec = random_spec(seed)
+        expected = differential_edim(K, spec)
+        for order in itertools.permutations(range(len(spec.entries))):
+            assert artin.edim_of_base_change(K, spec.permuted(order)) == expected, order
+
+    @pytest.mark.parametrize("seed", (2, 25722, 123218))
+    def test_every_order_passes_oracle(self, seed):
+        _, K, spec = random_spec(seed)
+        for order in itertools.permutations(range(len(spec.entries))):
+            report = artin.verify_structure_oracle(K, spec.permuted(order))
+            assert report.passed, (order, report.failures())
+
+    @pytest.mark.parametrize(
+        "entries, edim, orders, residue_degree",
+        [
+            # L = k(t^(1/4)); z1 - z3^2 and z2 - z3 have order 4
+            ([(2, 2), (1, 2), (1, 2)], 2, [2, 2], 4),
+            # L = k(t^(1/2)); one nilpotent z1 - z2 of order 8, where the walk in
+            # the given order claimed t - z1^2 of order 4 and z1 - z2 of order 2
+            ([(4, 3), (1, 1)], 1, [3], 2),
+        ],
+    )
+    def test_hand_checked_cases(self, entries, edim, orders, residue_degree):
+        k = FieldTower(BaseField(2, ("t",)))
+        t = t_of(k)
+        spec = artin.InseparableExtensionSpec.of([(t**e, n) for e, n in entries])
+        for order in itertools.permutations(range(len(entries))):
+            s = artin.base_change_structure(k, spec.permuted(order))
+            got = (s.edim, sorted(s.order_exponents), s.residue_degree)
+            assert got == (edim, orders, residue_degree)
+            report = artin.verify_structure_oracle(k, spec.permuted(order), s)
+            assert report.passed, (order, report.failures())
 
 
 class TestHeightOneSaturation:

@@ -44,6 +44,44 @@ class TestFlatAlgebra:
         assert alg.invert(zero_divisor) is None
         assert alg.invert(alg.zero()) is None
 
+    @pytest.mark.parametrize(
+        "p, layers, elements",
+        [
+            # z^2 = t^2 over F_2(t): inseparable, with the zero divisor z + t
+            (
+                2,
+                [("z", 2, {(0,): "t^2"})],
+                [{(1,): "1", (0,): "t"}, {(1,): "1", (0,): "1"}, {(1,): "1"}],
+            ),
+            # a^2 = t, b^2 = a over F_2(t): two inseparable slots, a field
+            (
+                2,
+                [("a", 2, {(0, 0): "t"}), ("b", 2, {(1, 0): "1"})],
+                [{(1, 1): "1", (0, 0): "t"}, {(0, 1): "1", (1, 0): "1"}],
+            ),
+            # z^2 = 1 over F_3(t): separable, with the zero divisor z - 1
+            (3, [("z", 2, {(0,): "1"})], [{(1,): "1", (0,): "2"}, {(1,): "1", (0,): "t"}]),
+        ],
+    )
+    def test_is_unit_agrees_with_invert(self, p, layers, elements):
+        field = FractionField(p, ("t",))
+        t = field.gen(0)
+
+        def coeff(text):
+            return {"1": field.one, "2": field.one + field.one, "t": t, "t^2": t * t}[text]
+
+        flat_layers = [FlatLayer(n, d, {e: coeff(c) for e, c in r.items()}) for n, d, r in layers]
+        alg = FlatAlgebra(field, flat_layers)
+        units = 0
+        for spec in elements:
+            u = {e: coeff(c) for e, c in spec.items()}
+            inv = alg.invert(u)
+            assert alg.is_unit(u) == (inv is not None)
+            if inv is not None:
+                units += 1
+                assert alg.eq(alg.mul(u, inv), alg.one())
+        assert units >= 1
+
     def test_flatten_unflatten_roundtrip(self):
         k = FieldTower(BaseField(3, ("t",)))
         K = adjoin_p_root(k, k.base_var("t"), 1, name="u")
