@@ -128,10 +128,13 @@ def _bound_instances():
 
 
 def criterion_3_bound_chain() -> CriterionResult:
-    """0 <= ejump <= edim(kappa tensor k') <= pdeg - trdeg at sampled points."""
+    """0 <= ejump <= edim(kappa tensor k') <= pdeg - trdeg at sampled points.
+
+    Both embedding dimensions of each report are also recounted by Buchberger.
+    """
     start = time.time()
     failures = []
-    for i, (_, _, _, report) in enumerate(_bound_instances()):
+    for i, (I, P, exponents, report) in enumerate(_bound_instances()):
         chain_ok = (
             report.satisfied["nonnegative"]
             and report.satisfied["lemma"]
@@ -139,6 +142,10 @@ def criterion_3_bound_chain() -> CriterionResult:
         )
         if not chain_ok:
             failures.append((i, report.to_dict()))
+        new_I, new_P, _, _ = localring.base_change_point(I, P, exponents)
+        recount = (_buchberger_edim(I, P), _buchberger_edim(new_I, new_P))
+        if recount != (report.edim_before, report.edim_after):
+            failures.append((i, "buchberger-edim", recount, report.to_dict()))
     detail = f"20 instances, {len(failures)} chain violations"
     return CriterionResult(3, "bound chain", not failures, detail, time.time() - start)
 
@@ -220,6 +227,23 @@ def criterion_6_corollary_bound() -> CriterionResult:
             failures.append((i, report.to_dict()))
     detail = f"20 instances, {len(failures)} corollary violations"
     return CriterionResult(6, "base-dimension corollary", not failures, detail, time.time() - start)
+
+
+def _buchberger_edim(I: IdealPresentation, P: localring.ClosedPoint):
+    """Second route to `localring.edim_at_point`: (dim_k k[x]/(P^2 + I) - deg P) / deg P.
+
+    P^2 + I lies in the maximal ideal P, so k[x]/(P^2 + I) is local with
+    residue field kappa and its ideal P/(P^2 + I) is the cotangent space.
+    None when the count is not a nonnegative multiple of the residue degree.
+    """
+    gens = P.generators
+    squares = tuple(gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens)))
+    ideal = IdealPresentation(I.coeff_field, I.varnames, squares + tuple(I.generators), I.order)
+    _, vdim = quotient_dim(ideal)
+    dk = P.residue_degree()
+    if vdim is None or vdim < dk or (vdim - dk) % dk:
+        return None
+    return (vdim - dk) // dk
 
 
 def _naive_vector_dim(I: IdealPresentation, cap: int = 256):

@@ -2,11 +2,12 @@
 
 A closed point is a maximal ideal in triangular form: u1(x1), u2(x1,x2), ...
 each monic in its main variable.  The residue field is then an explicit
-tower, the cotangent space is a Groebner dimension count, and base change by
-roots of the base variables stays over a rational base field via the
-reparametrization t_i = s_i^(p^e_i).  The nilpotent roots of that base change
-become polynomials through `FlatModel.flatten` of the residue field: a slot of
-kappa is read as its variable x_i and an adjoined slot as s_j.
+tower, the classes of the triangular generators span the cotangent space,
+and base change by roots of the base variables stays over a rational base
+field via the reparametrization t_i = s_i^(p^e_i).  The nilpotent roots of
+that base change become polynomials through `FlatModel.flatten` of the
+residue field: a slot of kappa is read as its variable x_i and an adjoined
+slot as s_j.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ from contextlib import contextmanager
 from .ff_arith import (
     LEX,
     FractionField,
-    GroebnerBasis,
     IdealPresentation,
     MultiPoly,
     RatFunc,
     groebner_basis,
     quotient_dim,
-    reduce_modulo,
 )
 from .flat import flat_model
 from .tower import BaseField, FieldTower, algebraic_layer, tower_extend
@@ -169,28 +168,48 @@ def _check_compatible(I: IdealPresentation, P: ClosedPoint) -> None:
         raise ArityMismatch("ideal and point live in different polynomial rings")
 
 
-def _require_contained(I: IdealPresentation, P: ClosedPoint) -> GroebnerBasis:
-    gb = groebner_basis(P.ideal())
-    for g in I.generators:
-        if not reduce_modulo(g, gb).is_zero:
-            raise NotContained("ideal is not contained in the point's maximal ideal")
-    return gb
+def _triangular_quotients(g: MultiPoly, P: ClosedPoint) -> list:
+    """q_1..q_n with g = sum q_i u_i, dividing by u_n first and u_1 last.
+
+    Each u_i is monic in x_i and uses no later variable, so every step is exact
+    and leaves the degrees in the later, already reduced variables alone.  The
+    monic triangular set is a lex Groebner basis of P (Lazard 1992), so the
+    remainder is zero exactly when g lies in P.
+    """
+    n = len(P.varnames)
+    quotients = [None] * n
+    r = g
+    for i in reversed(range(n)):
+        u = P.generators[i]
+        d = u.degree_in(i)
+        q = MultiPoly.zero(P.field, n)
+        while (top := r.degree_in(i)) >= d:
+            lead = {exp: c for exp, c in r.terms.items() if exp[i] == top}
+            step = MultiPoly(P.field, n, {exp[:i] + (top - d,) + exp[i + 1 :]: c for exp, c in lead.items()})
+            q = q + step
+            r = r - step * u
+        quotients[i] = q
+    if not r.is_zero:
+        raise NotContained("ideal is not contained in the point's maximal ideal")
+    return quotients
 
 
 def edim_at_point(I: IdealPresentation, P: ClosedPoint) -> int:
-    """dim over kappa of m/m^2 for the local ring (k[x]/I) at P."""
+    """dim over kappa of m/m^2 for the local ring (k[x]/I) at P.
+
+    k[x]_P is regular of dimension n and u_1..u_n generate P, so the classes
+    [u_i] are a kappa-basis of P/P^2 (Matsumura, Commutative Ring Theory, §14).
+    Each generator g = sum q_i u_i of I has class sum q_i(P) [u_i], hence
+    edim = n - rank over kappa of the values q_i(P).
+    """
     _check_compatible(I, P)
-    _require_contained(I, P)
-    gens = list(P.generators)
-    squares = tuple(gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens)))
-    ideal2 = IdealPresentation(I.coeff_field, I.varnames, squares + tuple(I.generators), I.order)
-    _, vdim = quotient_dim(ideal2)
-    if vdim is None:
-        raise InternalInvariantViolation("P^2 + I is not zero-dimensional; P is not maximal")
-    dk = P.residue_degree()
-    if (vdim - dk) % dk:
-        raise InternalInvariantViolation("cotangent dimension is not a multiple of the residue degree")
-    return (vdim - dk) // dk
+    quotients = [_triangular_quotients(g, P) for g in I.generators]
+    with _not_prime_on_zero_divisor():
+        kappa, images = P.residue_tower()
+        model = flat_model(kappa)
+        rows = [[model.flatten(q.evaluate(images, kappa.from_base)) for q in qs] for qs in quotients]
+        rank = model.algebra.rank(rows)
+    return len(P.varnames) - rank
 
 
 def krull_dim(I: IdealPresentation) -> int:
@@ -264,12 +283,16 @@ def spec_from_exponents(base: BaseField, exponents: tuple) -> artin.InseparableE
 
 
 def base_change_point(I: IdealPresentation, P: ClosedPoint, exponents) -> tuple:
-    """Rewrite (I, P) over k' = k(t_i^(1/p^e_i)); returns (I', P', base')."""
+    """Rewrite (I, P) over k' = k(t_i^(1/p^e_i)); returns (I', P', base', structure).
+
+    `structure` is the walk's `artin.TruncatedStructure` of kappa (x)_k k', or
+    None when every exponent is 0 and nothing changes.
+    """
     _check_compatible(I, P)
     base = P.base
     exponents = normalize_exponents(base, exponents)
     if all(e == 0 for e in exponents):
-        return I, P, base
+        return I, P, base, None
     p = base.p
     scales = tuple(p**e for e in exponents)
     new_base, _ = _reparametrized_field(base, exponents, forbidden=set(P.varnames))
@@ -313,7 +336,7 @@ def base_change_point(I: IdealPresentation, P: ClosedPoint, exponents) -> tuple:
         new_P_gens.append(lift - MultiPoly.const(new_field, n, zval))
 
     new_P = _triangularize(new_base, P.varnames, tuple(new_P_gens))
-    return new_I, new_P, new_base
+    return new_I, new_P, new_base, structure
 
 
 def _triangularize(base: BaseField, varnames: tuple, generators: tuple) -> ClosedPoint:
@@ -361,7 +384,11 @@ def _triangularize(base: BaseField, varnames: tuple, generators: tuple) -> Close
 
 
 def ejump_at_point(I: IdealPresentation, P: ClosedPoint, exponents) -> JumpReport:
-    """Full before/after report with both proved bounds evaluated."""
+    """Full before/after report with both proved bounds evaluated.
+
+    The lemma's bound edim(kappa (x)_k k') is the edim of the structure that
+    the base change of the point already computed.
+    """
     _check_compatible(I, P)
     base = P.base
     exponents = normalize_exponents(base, exponents)
@@ -371,18 +398,16 @@ def ejump_at_point(I: IdealPresentation, P: ClosedPoint, exponents) -> JumpRepor
     dim_before = krull_dim(I)
     ecodim_before = edim_before - dim_before
 
-    new_I, new_P, _ = base_change_point(I, P, exponents)
+    new_I, new_P, _, structure = base_change_point(I, P, exponents)
     edim_after = edim_at_point(new_I, new_P)
     dim_after = krull_dim(new_I)
     ecodim_after = edim_after - dim_after
 
     with _not_prime_on_zero_divisor():
-        kappa, _ = P.residue_tower()
-        if any(e >= 1 for e in exponents):
-            spec = spec_from_exponents(base, exponents)
-            bound_lemma = artin.ejump_field(kappa, spec)
+        if structure is None:
+            kappa, bound_lemma = P.residue_tower()[0], 0
         else:
-            bound_lemma = 0
+            kappa, bound_lemma = structure.base_tower, structure.edim
         bound_theorem = kaehler.pdeg(kappa, "base") - kaehler.trdeg(kappa, "base")
 
     ejump = edim_after - edim_before

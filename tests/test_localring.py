@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ejump import localring
+from ejump.acceptance import _buchberger_edim
 from ejump.errors import ArityMismatch, NotContained, NotPrime, ZeroDivisorDetected
 from ejump.ff_arith import IdealPresentation, MultiPoly, poly_from_text, render_poly
 from ejump.instances import (
@@ -89,24 +90,69 @@ class TestEdimExamples:
             edim_at_point(I, P)
 
 
+def three_variable_point():
+    """F_3(t) at (x^3 - t, y - x, z^2 - x), residue degree 6, with edim 2."""
+    base = BaseField(3, ("t",))
+    field = base.field
+    vs = ("x", "y", "z")
+    P = ClosedPoint(base, vs, tuple(poly_from_text(field, vs, g) for g in ("x^3 - t", "y - x", "z^2 - x")))
+    gens = ("y - x + z*x^3 - z*t", "(z^2 - x)^2")
+    I = IdealPresentation(field, vs, tuple(poly_from_text(field, vs, g) for g in gens))
+    return I, P
+
+
+class TestCotangentFromTriangularSet:
+    def test_matches_buchberger_on_fixtures(self):
+        for I, P in (cusp_char2(), cusp_char3(), three_variable_point()):
+            assert edim_at_point(I, P) == _buchberger_edim(I, P)
+            new_I, new_P, _, _ = base_change_point(I, P, (1,))
+            assert edim_at_point(new_I, new_P) == _buchberger_edim(new_I, new_P)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_buchberger_on_random_points(self, seed):
+        I, P, exponents = random_bound_instance(random.Random(seed))
+        new_I, new_P, _, _ = base_change_point(I, P, exponents)
+        assert edim_at_point(I, P) == _buchberger_edim(I, P)
+        assert edim_at_point(new_I, new_P) == _buchberger_edim(new_I, new_P)
+
+    def test_needs_no_groebner_basis(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("edim_at_point computed a Groebner basis")
+
+        monkeypatch.setattr(localring, "groebner_basis", refuse)
+        monkeypatch.setattr(localring, "quotient_dim", refuse)
+        for (I, P), edim in ((cusp_char2(), 1), (cusp_char3(), 1), (three_variable_point(), 2)):
+            assert edim_at_point(I, P) == edim
+
+    def test_non_prime_point_raises_not_prime(self):
+        # x^2 - t^2 = (x - t)(x + t): the quotient x - t of the generator is a zero divisor
+        base = BaseField(3, ("t",))
+        field = base.field
+        P = ClosedPoint(base, ("x",), (poly_from_text(field, ("x",), "x^2 - t^2"),))
+        I = IdealPresentation(field, ("x",), (poly_from_text(field, ("x",), "(x - t)^2*(x + t)"),))
+        with pytest.raises(NotPrime):
+            edim_at_point(I, P)
+
+
 class TestBaseChangePoint:
     def test_cusp_height_one(self):
         I, P = cusp_char2()
-        nI, nP, nb = base_change_point(I, P, {"t": 1})
+        nI, nP, nb, structure = base_change_point(I, P, {"t": 1})
         assert nb.varnames == ("s",)
+        assert structure.edim == 1
         assert [render_poly(g, nI.varnames) for g in nI.generators] == ["y^3 + x^2 + (s^2)"]
         assert [render_poly(g, nP.varnames) for g in nP.generators] == ["y", "x + s"]
 
     def test_cusp_exponent_two(self):
         I, P = cusp_char2()
-        nI, nP, _ = base_change_point(I, P, {"t": 2})
+        nI, nP, _, _ = base_change_point(I, P, {"t": 2})
         assert [render_poly(g, nI.varnames) for g in nI.generators] == ["y^3 + x^2 + (s^4)"]
         assert [render_poly(g, nP.varnames) for g in nP.generators] == ["y", "x + (s^2)"]
 
     def test_identity_transform(self):
         I, P = cusp_char2()
-        nI, nP, nb = base_change_point(I, P, {"t": 0})
-        assert nI is I and nP is P and nb == P.base
+        nI, nP, nb, structure = base_change_point(I, P, {"t": 0})
+        assert nI is I and nP is P and nb == P.base and structure is None
 
 
 class TestJumpReports:
