@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Print one sha256 per output family, to compare two trees byte for byte.
+
+    PYTHONPATH=src python3 scripts/output_digest.py
+
+Families:
+- sessions-json: the CLI JSON of every `sessions` benchmark case, seeds 1 and 2;
+- tail-reports: the jump reports of the pinned `tail` points;
+- fields: the seed-1 `fields` integers and the rendered p-th roots;
+- towers: `describe()` of every `fields` and `sessions` pool tower;
+- acceptance: the pass flag and detail string of every acceptance criterion.
+
+The benchmark's workload module supplies the inputs and is only imported.
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+
+import workloads  # noqa: E402
+
+from ejump import artin, cli, kaehler, localring  # noqa: E402
+from ejump.acceptance import run_all  # noqa: E402
+from ejump.tower import p_root_tower  # noqa: E402
+
+
+def _sessions_json() -> list:
+    out = []
+    for seed in (1, 2):
+        for case in workloads.sessions_setup(seed):
+            session = cli.parse_session(case.text)
+            reports = [cli.run_command(session, cmd, cli.RunOptions()) for cmd in session.commands]
+            out.append(cli.emit_session(reports, "json").decode())
+    return out
+
+
+def _tail_reports() -> list:
+    cases = sorted(workloads.tail_setup(1), key=lambda c: c.name)
+    return [(c.name, localring.ejump_at_point(*c.args).to_dict()) for c in cases if c.is_point]
+
+
+def _fields() -> list:
+    out = []
+    for case in workloads.fields_setup(1):
+        K = case.tower
+        row = [tuple(f(K, ref) for f in (kaehler.pdeg, kaehler.trdeg) for ref in ("base", "prime"))]
+        row.append(artin.base_change_structure(K, artin.InseparableExtensionSpec.height_one(K.base)).edim)
+        row.extend(p_root_tower(x**K.p).render() for x in case.elements)
+        if case.spec is not None:
+            row.append(artin.verify_structure_oracle(K, case.spec).failures())
+        out.append(row)
+    return out
+
+
+def _towers() -> list:
+    fields = [case.tower.describe() for case in workloads.fields_setup(1)]
+    sessions = [case.tower.describe() for case in workloads.sessions_setup(1) if case.tower is not None]
+    return fields + sessions
+
+
+def _acceptance() -> list:
+    return [(r.number, r.passed, r.detail) for r in run_all(echo=None)]
+
+
+FAMILIES = (
+    ("sessions-json", _sessions_json),
+    ("tail-reports", _tail_reports),
+    ("fields", _fields),
+    ("towers", _towers),
+    ("acceptance", _acceptance),
+)
+
+
+def main() -> None:
+    for name, family in FAMILIES:
+        text = json.dumps(family(), sort_keys=True)
+        print(f"{name} {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

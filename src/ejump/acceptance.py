@@ -71,7 +71,7 @@ def criterion_1_predicted_edim_identity() -> CriterionResult:
     towers = _identity_towers()
     for i, K in enumerate(towers):
         spec = artin.InseparableExtensionSpec.height_one(K.base)
-        lhs = artin.edim_of_base_change(K, spec)
+        lhs = artin.base_change_structure(K, spec).edim
         rhs = kaehler.schroer_predicted_edim(K, "base")
         if lhs != rhs:
             failures.append((i, lhs, rhs))
@@ -99,7 +99,7 @@ def criterion_2_height_one_stability() -> CriterionResult:
         if a.is_zero:
             continue
         edims = [
-            artin.ejump_field(K, artin.InseparableExtensionSpec.of([(a, n)])) for n in (1, 2, 3)
+            artin.base_change_structure(K, artin.InseparableExtensionSpec.of([(a, n)])).edim for n in (1, 2, 3)
         ]
         if len(set(edims)) != 1:
             failures.append((cases, edims))

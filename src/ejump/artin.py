@@ -166,16 +166,6 @@ def base_change_structure(K: FieldTower, spec: InseparableExtensionSpec) -> Trun
     return structure
 
 
-def edim_of_base_change(K: FieldTower, spec: InseparableExtensionSpec) -> int:
-    """Embedding dimension of K (x)_k k': the number of truncation generators."""
-    return base_change_structure(K, spec).edim
-
-
-def ejump_field(K: FieldTower, spec: InseparableExtensionSpec) -> int:
-    """Embedding jump of the field K: edim(K (x) k') since edim of a field is 0."""
-    return edim_of_base_change(K, spec)
-
-
 # -- verification oracle ---------------------------------------------------
 
 
@@ -226,8 +216,7 @@ class _ConcreteAlgebra:
         self.k_slots = len(layers)
         nslots = self.k_slots + pad
         for i, (a, n) in enumerate(spec.entries):
-            scalar = self.model._extend_ratfunc(a)
-            reduction = {(0,) * nslots: scalar}
+            reduction = {(0,) * nslots: a.extend_arity(base_alg.field.arity)}
             layers.append(FlatLayer(f"z{i + 1}", K.p**n, reduction))
         self.algebra = FlatAlgebra(base_alg.field, layers)
         self.pad = pad
@@ -236,7 +225,7 @@ class _ConcreteAlgebra:
         return self.algebra.gen(self.k_slots + entry_index, power)
 
     def scalar_base(self, a: RatFunc) -> dict:
-        return self.algebra.scalar(self.model._extend_ratfunc(a))
+        return self.algebra.scalar(a.extend_arity(self.algebra.field.arity))
 
     def eval_residue_element(self, structure: TruncatedStructure, elt: TowerElement) -> dict:
         """Image of a residue-field element with adjoined generators sent to z-monomials.

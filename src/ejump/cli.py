@@ -42,6 +42,8 @@ from .errors import (
 )
 from .ff_arith import (
     IdealPresentation,
+    MultiPoly,
+    RatFunc,
     is_prime,
     parse_expression,
     poly_from_text,
@@ -129,20 +131,29 @@ def _parse_tower_element(K: FieldTower, text: str, line: int) -> TowerElement:
 
 
 def _parse_minpoly(K: FieldTower, gen_name: str, text: str, line: int) -> tuple:
-    """Monic minimal polynomial text -> low-order coefficient payloads.
+    """Monic minimal polynomial text -> low-order coefficient vectors in K.
 
-    The text is read as an element of K(gen) with gen transcendental; without
-    division its payload has denominator 1 and its numerator lists the
-    coefficients in K.
+    The text is read as an element of K(gen) with gen transcendental, the last
+    variable of T there.  Without division no denominator involves gen, so
+    the coefficients in K are the numerator terms grouped by degree in gen.
     """
     Kx = tower_extend(K, transcendental_layer(gen_name))
     value = parse_expression(text, _tower_context(Kx), Kx.from_int, div=None, line=line)
-    coeffs = value.payload.num
-    if len(coeffs) < 3:
+    nt = len(K.t_names)
+    coeffs: dict = {}
+    for e, c in value.payload.items():
+        den = MultiPoly(c.den.dom, nt, {x[:nt]: a for x, a in c.den.terms.items()})
+        by_degree: dict = {}
+        for x, a in c.num.terms.items():
+            by_degree.setdefault(x[nt], {})[x[:nt]] = a
+        for k, terms in by_degree.items():
+            coeffs.setdefault(k, {})[e] = RatFunc(MultiPoly(den.dom, nt, terms), den)
+    degree = max(coeffs, default=0)
+    if degree < 2:
         raise ValidationError(f"minimal polynomial must have degree >= 2 in {gen_name!r}", line)
-    if not TowerElement(K, coeffs[-1]).is_one:
+    if not TowerElement(K, coeffs[degree]).is_one:
         raise ValidationError(f"minimal polynomial must be monic in {gen_name!r}", line)
-    return coeffs[:-1]
+    return tuple(coeffs.get(k, {}) for k in range(degree))
 
 
 def _parse_roots_spec(session: Session, text: str, line: int) -> list:
@@ -501,7 +512,7 @@ def _execute(session: Session, cmd: Command, options: RunOptions) -> dict:
         K = session.towers[cmd.args["tower"]]
         rad = K.base.field.gen_named(cmd.args["variable"])
         jumps = [
-            artin.ejump_field(K, artin.InseparableExtensionSpec.of([(rad, n)]))
+            artin.base_change_structure(K, artin.InseparableExtensionSpec.of([(rad, n)])).edim
             for n in range(1, cmd.args["n_max"] + 1)
         ]
         return {

@@ -1,23 +1,25 @@
-"""Flat models of towers: finite free modules over a rational scalar field.
+"""Flat algebras: finite free modules over a rational scalar field.
 
-A tower K collapses to a module over k0 = F_p(T), where T holds the base
-variables together with every transcendental generator; the algebraic
-generators index a monomial basis with one triangular monic reduction per
-layer.  The same container also models the truncated algebras K[z]/(z^q - a)
-needed by the base-change oracle, since those are just extra reduction
-layers.
+A tower K is a module over k0 = F_p(T), where T holds the base variables
+together with every transcendental generator; the algebraic generators index
+a monomial basis with one triangular monic reduction per layer.
+`FieldTower.algebra` builds that `FlatAlgebra` from the layers, and a tower
+element's payload is its vector in it.  The same container also models the
+truncated algebras K[z]/(z^q - a) needed by the base-change oracle, since
+those are just extra reduction layers.
 
-On top of the flat model sits the p-th root solver: z^q = a with q = p^r is
-semilinear over k0, and splitting every scalar over the k0^q-basis of
+On top of the flat algebra sits the p-th root solver: z^q = a with q = p^r
+is semilinear over k0, and splitting every scalar over the k0^q-basis of
 monomials T^mu with exponents below q turns it into an honest linear system
 with a unique solution whenever a root exists.  This makes root extraction
 total: no presentation is ever rejected.
 
-`FlatModel.flatten` is the one map from a tower element to coordinates.  It
-serves the p-th root solver, the base-change structure oracle (which moves
-adjoined-layer slots to z slots), point base change (which reads slots as
-the variables x_i and s_j) and the Kaehler ranks, whose one elimination is
-`FlatAlgebra.rank`.
+`FlatModel` pairs a tower with its algebra.  `FlatModel.flatten` returns an
+element's vector after checking its tower and `unflatten` wraps a vector;
+neither converts anything.  The p-th root solver, the base-change structure oracle
+(which moves adjoined-layer slots to z slots), point base change (which reads
+slots as the variables x_i and s_j) and the Kaehler ranks, whose one
+elimination is `FlatAlgebra.rank`, all work on these vectors.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation, ZeroDivisorDetected
 from .ff_arith import FractionField, MultiPoly, RatFunc, poly_lcm
-from .tower import TRANSCENDENTAL, FieldTower, TowerElement
+from .tower import FieldTower, TowerElement
 
 
 @dataclass(frozen=True)
@@ -99,24 +101,6 @@ class FlatAlgebra:
 
     def sub(self, u: dict, v: dict) -> dict:
         return self.add(u, self.neg(v))
-
-    def scale(self, u: dict, c: RatFunc) -> dict:
-        if c.is_zero:
-            return {}
-        return {e: v * c for e, v in u.items()}
-
-    def shift(self, u: dict, slot: int, power: int) -> dict:
-        """Multiply by gen(slot)^power assuming no reduction is triggered."""
-        if power == 0:
-            return dict(u)
-        out = {}
-        for e, c in u.items():
-            e2 = list(e)
-            e2[slot] += power
-            if e2[slot] >= self.layers[slot].degree:
-                raise InternalInvariantViolation("shift crossed a reduction boundary")
-            out[tuple(e2)] = c
-        return out
 
     def is_zero(self, u: dict) -> bool:
         return not u
@@ -327,145 +311,28 @@ class LinearSolver:
         return out
 
 
-# -- building flat models of towers --------------------------------------
+# -- flat models of towers -------------------------------------------------
 
 
 @dataclass
 class FlatModel:
+    """A tower with its flat algebra, where its elements' vectors live."""
+
     tower: FieldTower
     algebra: FlatAlgebra
-    t_names: tuple
-    base_map: list  # T-index of each base variable
-    transc_map: dict  # tower level -> T-index
-    slot_map: dict  # tower level -> algebra slot
 
     def flatten(self, element: TowerElement) -> dict:
-        K = self.tower
-        if element.tower != K:
+        if element.tower != self.tower:
             raise InternalInvariantViolation("element does not live in the modelled tower")
-        return self._flatten_payload(K.height, element.payload)
-
-    def _flatten_payload(self, level: int, payload) -> dict:
-        alg = self.algebra
-        if level == 0:
-            return alg.scalar(self._extend_ratfunc(payload))
-        layer = self.tower.layers[level - 1]
-        if layer.kind == TRANSCENDENTAL:
-            vidx = self.transc_map[level]
-            num = self._upoly_vec(level, payload.num, vidx)
-            den = self._upoly_vec(level, payload.den, vidx)
-            if den == alg.one():
-                return num
-            den_inv = alg.invert(den)
-            if den_inv is None:
-                raise ZeroDivisorDetected(layer.name, "denominator is a zero divisor in the flat model")
-            return alg.mul(num, den_inv)
-        slot = self.slot_map[level]
-        out = alg.zero()
-        for j, coeff in enumerate(payload):
-            sub = self._flatten_payload(level - 1, coeff)
-            out = alg.add(out, alg.shift(sub, slot, j))
-        return out
-
-    def _upoly_vec(self, level: int, coeffs, vidx: int) -> dict:
-        alg = self.algebra
-        out = alg.zero()
-        for j, coeff in enumerate(coeffs):
-            sub = self._flatten_payload(level - 1, coeff)
-            if j:
-                mono = RatFunc.from_poly(
-                    MultiPoly.gen(alg.field.prime_field, len(self.t_names), vidx, j)
-                )
-                sub = alg.scale(sub, mono)
-            out = alg.add(out, sub)
-        return out
-
-    def _extend_ratfunc(self, r: RatFunc) -> RatFunc:
-        d = self.tower.base.d
-        total = len(self.t_names)
-
-        def remap(exp):
-            out = [0] * total
-            for i, e in enumerate(exp):
-                out[self.base_map[i]] = e
-            return tuple(out)
-
-        if d == total:
-            return r
-        return RatFunc(r.num.map_exponents(remap), r.den.map_exponents(remap), _normalized=True)
-
-    def scalar_to_tower(self, c: RatFunc) -> TowerElement:
-        num = self._tpoly_to_tower(c.num)
-        den = self._tpoly_to_tower(c.den)
-        return num / den
-
-    def _tpoly_to_tower(self, poly: MultiPoly) -> TowerElement:
-        K = self.tower
-        base_field = K.base.field
-        d = K.base.d
-        acc = K.zero
-        for exp, coeff in sorted(poly.terms.items()):
-            # base variables occupy the first d slots of T
-            mono = RatFunc.from_poly(
-                MultiPoly(base_field.prime_field, d, {tuple(exp[:d]): coeff})
-            )
-            term = K.from_base(mono)
-            for tidx in range(d, len(self.t_names)):
-                e = exp[tidx]
-                if e:
-                    term = term * K.gen(self.t_names[tidx]) ** e
-            acc = acc + term
-        return acc
+        return element.payload
 
     def unflatten(self, vec: dict) -> TowerElement:
-        K = self.tower
-        acc = K.zero
-        slot_gens = {}
-        for lv, slot in self.slot_map.items():
-            slot_gens[slot] = K.gen(K.layers[lv - 1].name)
-        for exp, c in sorted(vec.items()):
-            term = self.scalar_to_tower(c)
-            for slot, e in enumerate(exp):
-                if e:
-                    term = term * slot_gens[slot] ** e
-            acc = acc + term
-        return acc
+        return TowerElement(self.tower, vec)
 
 
 def flat_model(K: FieldTower) -> FlatModel:
-    """Build (and cache) the flat model of a tower."""
-    cached = K._cache.get("flat_model")
-    if cached is not None:
-        return cached
-    t_names = list(K.base.varnames)
-    base_map = list(range(K.base.d))
-    transc_map = {}
-    for lv, layer in enumerate(K.layers, start=1):
-        if layer.kind == TRANSCENDENTAL:
-            transc_map[lv] = len(t_names)
-            t_names.append(layer.name)
-    scalar_field = FractionField(K.p, tuple(t_names))
-    # install every algebraic slot up front so exponent arity is stable, then
-    # fill the triangular reductions in layer order (each uses lower slots only)
-    algebra = FlatAlgebra(scalar_field, [])
-    slot_map = {}
-    for lv, layer in enumerate(K.layers, start=1):
-        if layer.kind == TRANSCENDENTAL:
-            continue
-        slot_map[lv] = algebra.nslots
-        algebra.layers.append(FlatLayer(layer.name, K.layer_degree(layer), {}))
-    model = FlatModel(K, algebra, tuple(t_names), base_map, transc_map, slot_map)
-    for lv, layer in enumerate(K.layers, start=1):
-        if layer.kind == TRANSCENDENTAL:
-            continue
-        slot = slot_map[lv]
-        reduction = algebra.zero()
-        for j, coeff in enumerate(K.minpoly_coeffs(lv)):
-            sub = model._flatten_payload(lv - 1, coeff)
-            reduction = algebra.add(reduction, algebra.shift(sub, slot, j))
-        algebra.layers[slot] = FlatLayer(layer.name, algebra.layers[slot].degree, algebra.neg(reduction))
-    K._cache["flat_model"] = model
-    return model
+    """The flat model of a tower; its algebra is built once, by the tower."""
+    return FlatModel(K, K.algebra)
 
 
 # -- Frobenius-linearized p-power roots -----------------------------------
@@ -549,9 +416,5 @@ def p_power_root(algebra: FlatAlgebra, target: dict, r: int):
 
 def tower_p_root(a: TowerElement):
     """p-th root of a tower element, or None."""
-    model = flat_model(a.tower)
-    vec = model.flatten(a)
-    root = p_power_root(model.algebra, vec, 1)
-    if root is None:
-        return None
-    return model.unflatten(root)
+    root = p_power_root(a.tower.algebra, a.payload, 1)
+    return None if root is None else TowerElement(a.tower, root)

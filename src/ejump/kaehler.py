@@ -3,10 +3,9 @@
 For a tower K over reference field k (the rational base, or the prime field
 F_p), the module of differentials is presented by one column per generator
 above k and one relation row per algebraic layer: the total differential of
-its minimal polynomial.  Entries live in the flat model of K (`flat.FlatModel`,
-the module over F_p(T) that tower elements flatten into), where partials are
-taken formally on flattened representatives and ranks come from
-`FlatAlgebra.rank`.  p-degree is the corank, and a lies in K^p iff da = 0.
+its minimal polynomial.  Entries are vectors of K's flat algebra
+(`FieldTower.algebra`, the module over F_p(T) that holds tower elements),
+where partials are taken formally and ranks come from `FlatAlgebra.rank`.  p-degree is the corank, and a lies in K^p iff da = 0.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation
 from .ff_arith import RatFunc
-from .flat import FlatModel, flat_model
 from .tower import TRANSCENDENTAL, FieldTower, TowerElement
 
 BASE = "base"
@@ -45,7 +43,7 @@ def generator_names(K: FieldTower, ref: str) -> list:
     return names
 
 
-def _flat_partials(model: FlatModel, cols: list, vec: dict) -> list:
+def _flat_partials(K: FieldTower, cols: list, vec: dict) -> list:
     """Formal partials of a flat vector, one per column.
 
     A column of a base variable or a transcendental layer differentiates each
@@ -54,19 +52,18 @@ def _flat_partials(model: FlatModel, cols: list, vec: dict) -> list:
     Exponents of `vec` may reach a layer degree (as in a relation z^deg - r);
     the partials stay reduced because they lower exponents only.
     """
-    alg = model.algebra
-    p = alg.field.p
+    p = K.p
     out = []
     for kind, idx in cols:
         part = {}
-        if kind == "base" or idx in model.transc_map:
-            var = model.base_map[idx] if kind == "base" else model.transc_map[idx]
+        if kind == "base" or K.layers[idx - 1].kind == TRANSCENDENTAL:
+            var = idx if kind == "base" else K.flat_index[idx]
             for e, c in vec.items():
                 dc = c.derivative(var)
                 if not dc.is_zero:
                     part[e] = dc
         else:
-            slot = model.slot_map[idx]
+            slot = K.flat_index[idx]
             for e, c in vec.items():
                 k = e[slot] % p
                 if k:
@@ -78,8 +75,7 @@ def _flat_partials(model: FlatModel, cols: list, vec: dict) -> list:
 
 def differential_vector(a: TowerElement, ref: str = PRIME) -> list:
     """Coordinates of da in the span of the generator differentials, as flat vectors."""
-    model = flat_model(a.tower)
-    return _flat_partials(model, generator_columns(a.tower, ref), model.flatten(a))
+    return _flat_partials(a.tower, generator_columns(a.tower, ref), a.payload)
 
 
 @dataclass(frozen=True)
@@ -94,24 +90,22 @@ class JacobianPresentation:
 
     @property
     def rank(self) -> int:
-        return flat_model(self.tower).algebra.rank(list(self.matrix))
+        return self.tower.algebra.rank(list(self.matrix))
 
 
 def jacobian_presentation(K: FieldTower, ref: str = BASE) -> JacobianPresentation:
     ref = _normalize_ref(ref)
     cols = generator_columns(K, ref)
-    model = flat_model(K)
-    alg = model.algebra
+    alg = K.algebra
     rows = []
     layers = []
-    for slot in model.slot_map.values():
-        layer = alg.layers[slot]
+    for slot, layer in enumerate(alg.layers):
         layers.append(layer.name)
         # the relation z^deg - reduction, with z^deg left unreduced
         head = [0] * alg.nslots
         head[slot] = layer.degree
         relation = alg.sub({tuple(head): alg.field.one}, layer.reduction)
-        rows.append(tuple(_flat_partials(model, cols, relation)))
+        rows.append(tuple(_flat_partials(K, cols, relation)))
     generators = tuple(generator_names(K, ref))
     return JacobianPresentation(K, ref, generators, tuple(layers), tuple(rows))
 
@@ -147,6 +141,6 @@ def differential_is_zero(a: TowerElement) -> bool:
     d = differential_vector(a, PRIME)
     if not any(d):
         return True
-    alg = flat_model(a.tower).algebra
+    alg = a.tower.algebra
     rows = list(jacobian_presentation(a.tower, PRIME).matrix)
     return alg.rank(rows + [d]) == alg.rank(rows)

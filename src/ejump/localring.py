@@ -340,7 +340,13 @@ def base_change_point(I: IdealPresentation, P: ClosedPoint, exponents) -> tuple:
 
 
 def _triangularize(base: BaseField, varnames: tuple, generators: tuple) -> ClosedPoint:
-    """Extract triangular monic generators from a maximal ideal via a lex basis."""
+    """Read the triangular monic generators of a maximal ideal off its reduced lex basis.
+
+    The reduced lex basis of a zero-dimensional prime ideal is a triangular
+    set (Lazard 1992): exactly n elements, and the one whose highest variable
+    is x_i has a pure power of x_i as its leading monomial.  Any other shape
+    means the generators do not describe a point.
+    """
     field = base.field
     n = len(varnames)
     # lex with the *last* variable most significant eliminates trailing variables,
@@ -350,34 +356,18 @@ def _triangularize(base: BaseField, varnames: tuple, generators: tuple) -> Close
     gb = groebner_basis(IdealPresentation(field, tuple(reversed(varnames)), rev_gens, LEX))
     if gb.is_unit_ideal:
         raise TriangularizationFailed("generators span the unit ideal")
-    elements = [g.map_exponents(reverse) for g in gb.generators]
-
-    chosen = []
-    for i in range(n):
-        best = None
-        for g in elements:
-            if g.support_vars() - set(range(i + 1)):
-                continue
-            d = g.degree_in(i)
-            if d < 1:
-                continue
-            lead = {exp: c for exp, c in g.terms.items() if exp[i] == d}
-            if len(lead) != 1:
-                continue
-            exp, c = next(iter(lead.items()))
-            if any(e for j, e in enumerate(exp) if j != i) or not c.is_one:
-                continue
-            if best is None or d < best.degree_in(i):
-                best = g
-        if best is None:
-            raise TriangularizationFailed(f"no monic triangular generator for {varnames[i]}")
-        chosen.append(best)
-
-    point = ClosedPoint(base, varnames, tuple(chosen))
-    _, vdim = quotient_dim(IdealPresentation(field, varnames, generators))
-    if vdim is None or vdim != point.residue_degree():
-        raise TriangularizationFailed("triangular candidates do not span the radical")
-    return point
+    chosen = [None] * n
+    for g in gb.generators:
+        lead, _ = g.leading(LEX)
+        j = next(j for j, e in enumerate(lead) if e)  # reversed: g's highest variable comes first
+        i = n - 1 - j
+        if sum(lead) != lead[j] or chosen[i] is not None:
+            raise TriangularizationFailed("the reduced lex basis is not a triangular set")
+        chosen[i] = g.map_exponents(reverse)
+    if None in chosen:
+        missing = varnames[chosen.index(None)]
+        raise TriangularizationFailed(f"no monic triangular generator for {missing}")
+    return ClosedPoint(base, varnames, tuple(chosen))
 
 
 # -- jump reports ------------------------------------------------------------

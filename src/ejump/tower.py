@@ -2,20 +2,27 @@
 
 A FieldTower stacks layers over a rational base F_p(t1..td).  Each layer
 adjoins one generator: transcendental, algebraic with an asserted monic
-minimal polynomial (irreducibility policed lazily: any arithmetic that
-witnesses a zero divisor aborts naming the layer), or a verified
-inseparable root y^(p^e) = a with a not a p-th power below.
+minimal polynomial (irreducibility policed lazily: an inverse that does not
+exist aborts naming the top layer), or a verified inseparable root
+y^(p^e) = a with a not a p-th power below.
 
-Elements use a recursive dense representation: a coefficient vector over the
-previous level at algebraic layers, a normalized fraction of univariate
-polynomials at transcendental layers, a RatFunc at the base.  All values are
-immutable; every operation is a pure function of its inputs.
+An element is one flat vector over the tower's own coordinates (see
+`flat.FlatAlgebra`): a finite free module over F_p(T), where T holds the
+base variables and then the transcendental generators in layer order, and
+each algebraic or inseparable layer gets one slot whose monic minimal
+polynomial is a triangular reduction.  The tower builds that algebra lazily
+from its layers and does all arithmetic in it.  The T and slots of a prefix
+tower are prefixes of the whole tower's, so layer data (minimal-polynomial
+coefficients, radicands) are vectors of the prefix below the layer, and
+embedding into a larger tower only pads.  Rendering reads the recursive
+normal form back off the vector.  Values are immutable; every operation is
+a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import (
     ArityMismatch,
@@ -24,37 +31,19 @@ from .errors import (
     NotAPowerViolation,
     ZeroDivisorDetected,
 )
-from .ff_arith import FractionField, RatFunc, render_ratfunc
+from .ff_arith import FractionField, MultiPoly, RatFunc, divexact, poly_lcm, render_ratfunc
 
 TRANSCENDENTAL = "transcendental"
 ALGEBRAIC = "algebraic"
 INSEPARABLE_ROOT = "inseparable_root"
 
 
-class Frac:
-    """Normalized fraction of dense univariate polynomials over the level below."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: tuple, den: tuple):
-        self.num = num
-        self.den = den
-
-    def __eq__(self, other):
-        return isinstance(other, Frac) and self.num == other.num and self.den == other.den
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Frac({self.num!r}, {self.den!r})"
-
-
 @dataclass(frozen=True, eq=False)
 class Layer:
     kind: str
     name: str
-    coeffs: tuple = ()  # algebraic: c_0..c_{m-1} of the monic minimal polynomial
-    radicand: object = None  # inseparable root: payload one level below
+    coeffs: tuple = ()  # algebraic: c_0..c_{m-1} of the monic minimal polynomial, vectors of the tower below
+    radicand: object = None  # inseparable root: vector of the tower below
     exponent: int = 0  # inseparable root: e with y^(p^e) = radicand
 
     def __eq__(self, other):
@@ -97,7 +86,6 @@ class FieldTower:
     def __init__(self, base: BaseField, layers: tuple = ()):
         self.base = base
         self.layers = tuple(layers)
-        self._cache: dict = {}
 
     # -- structure -----------------------------------------------------
 
@@ -151,22 +139,65 @@ class FieldTower:
         if layer.kind == ALGEBRAIC:
             return layer.coeffs
         if layer.kind == INSEPARABLE_ROOT:
-            m = self.p**layer.exponent
-            below = level - 1
-            coeffs = [_zero(self, below)] * m
-            coeffs[0] = _neg(self, below, layer.radicand)
-            return tuple(coeffs)
+            neg = {e: -c for e, c in layer.radicand.items()}
+            return (neg,) + ({},) * (self.p**layer.exponent - 1)
         raise ValueError("transcendental layers have no minimal polynomial")
+
+    # -- flat coordinates -------------------------------------------------
+
+    @cached_property
+    def t_names(self) -> tuple:
+        """The variables T of the scalars: base variables, then transcendental generators."""
+        return self.base.varnames + tuple(self.transcendental_names())
+
+    @cached_property
+    def flat_index(self) -> dict:
+        """Level -> index in T of a transcendental layer, or slot of any other layer."""
+        out, t, slot = {}, self.base.d, 0
+        for level, layer in enumerate(self.layers, start=1):
+            if layer.kind == TRANSCENDENTAL:
+                out[level], t = t, t + 1
+            else:
+                out[level], slot = slot, slot + 1
+        return out
+
+    @cached_property
+    def algebra(self):
+        """The `flat.FlatAlgebra` over F_p(T) holding this tower's elements."""
+        from .flat import FlatAlgebra, FlatLayer
+
+        field = self.base.field if len(self.t_names) == self.base.d else FractionField(self.p, self.t_names)
+        layers = []
+        for level, layer in enumerate(self.layers, start=1):
+            if layer.kind == TRANSCENDENTAL:
+                continue
+            slot = self.flat_index[level]
+            # gen^m = -(c_0 + c_1 gen + ... + c_{m-1} gen^(m-1)); each c_j has no slot from here on
+            reduction = {}
+            for j, c in enumerate(self.minpoly_coeffs(level)):
+                for e, v in self._pad(c).items():
+                    reduction[e[:slot] + (j,) + e[slot + 1 :]] = -v
+            layers.append(FlatLayer(layer.name, self.layer_degree(layer), reduction))
+        return FlatAlgebra(field, layers)
+
+    def _pad(self, vec: dict) -> dict:
+        """A vector of a prefix of this tower, in this tower's coordinates."""
+        nt = len(self.t_names)
+        nslots = self.height - (nt - self.base.d)
+        return {
+            e + (0,) * (nslots - len(e)): c if c.num.arity == nt else c.extend_arity(nt)
+            for e, c in vec.items()
+        }
 
     # -- element constructors -------------------------------------------
 
     @property
     def zero(self) -> "TowerElement":
-        return TowerElement(self, _zero(self, self.height))
+        return TowerElement(self, {})
 
     @property
     def one(self) -> "TowerElement":
-        return TowerElement(self, _one(self, self.height))
+        return TowerElement(self, self.algebra.one())
 
     def from_int(self, n: int) -> "TowerElement":
         return self.from_base(self.base.field.from_int(n))
@@ -174,22 +205,18 @@ class FieldTower:
     def from_base(self, r: RatFunc) -> "TowerElement":
         if r.num.arity != self.base.d:
             raise ArityMismatch("rational function arity does not match the base field")
-        payload = r
-        for lv in range(1, self.height + 1):
-            payload = _lift(self, lv, payload)
-        return TowerElement(self, payload)
+        return TowerElement(self, {} if r.is_zero else self._pad({(): r}))
 
     def base_var(self, name: str) -> "TowerElement":
         return self.from_base(self.base.field.gen_named(name))
 
     def gen(self, name: str) -> "TowerElement":
-        for idx, layer in enumerate(self.layers):
+        for level, layer in enumerate(self.layers, start=1):
             if layer.name == name:
-                level = idx + 1
-                payload = _gen_payload(self, level)
-                for lv in range(level + 1, self.height + 1):
-                    payload = _lift(self, lv, payload)
-                return TowerElement(self, payload)
+                alg, idx = self.algebra, self.flat_index[level]
+                if layer.kind == TRANSCENDENTAL:
+                    return TowerElement(self, alg.scalar(alg.field.gen(idx)))
+                return TowerElement(self, alg.gen(idx))
         raise KeyError(f"no generator named {name!r}")
 
     def embed(self, elt: "TowerElement") -> "TowerElement":
@@ -197,10 +224,7 @@ class FieldTower:
             return TowerElement(self, elt.payload)
         if not elt.tower.is_prefix_of(self):
             raise ArityMismatch("element does not live in a prefix of this tower")
-        payload = elt.payload
-        for lv in range(elt.tower.height + 1, self.height + 1):
-            payload = _lift(self, lv, payload)
-        return TowerElement(self, payload)
+        return TowerElement(self, self._pad(elt.payload))
 
     def describe(self) -> str:
         parts = [self.base.describe()]
@@ -208,7 +232,7 @@ class FieldTower:
             if layer.kind == TRANSCENDENTAL:
                 parts.append(f"adjoin {layer.name} trans")
             elif layer.kind == INSEPARABLE_ROOT:
-                rad = render_element(self, layer.radicand, level - 1)
+                rad = render_element(self, self._pad(layer.radicand), level - 1)
                 parts.append(f"adjoin {layer.name} root {rad} exp {layer.exponent}")
             else:
                 parts.append(f"adjoin {layer.name} alg {self.render_minpoly(level)}")
@@ -217,16 +241,17 @@ class FieldTower:
     def render_minpoly(self, level: int) -> str:
         layer = self.layers[level - 1]
         coeffs = self.minpoly_coeffs(level)
+        one = self.algebra.one()
         m = len(coeffs)
         bits = [f"{layer.name}^{m}"]
         for j in range(m - 1, -1, -1):
-            c = coeffs[j]
-            if _is_zero(self, level - 1, c):
+            c = self._pad(coeffs[j])
+            if not c:
                 continue
             cs = render_element(self, c, level - 1)
             mono = layer.name if j == 1 else (f"{layer.name}^{j}" if j else "")
             if mono:
-                bits.append(f"({cs})*{mono}" if not _is_one(self, level - 1, c) else mono)
+                bits.append(f"({cs})*{mono}" if c != one else mono)
             else:
                 bits.append(f"({cs})" if " " in cs else cs)
         return " + ".join(bits)
@@ -235,7 +260,7 @@ class FieldTower:
 class TowerElement:
     __slots__ = ("tower", "payload")
 
-    def __init__(self, tower: FieldTower, payload):
+    def __init__(self, tower: FieldTower, payload: dict):
         self.tower = tower
         self.payload = payload
 
@@ -247,11 +272,11 @@ class TowerElement:
 
     @property
     def is_zero(self) -> bool:
-        return _is_zero(self.tower, self.tower.height, self.payload)
+        return not self.payload
 
     @property
     def is_one(self) -> bool:
-        return _is_one(self.tower, self.tower.height, self.payload)
+        return self.payload == self.tower.algebra.one()
 
     def __eq__(self, other):
         if not isinstance(other, TowerElement):
@@ -264,44 +289,35 @@ class TowerElement:
     def __add__(self, other):
         self._check(other)
         K = self.tower
-        return TowerElement(K, _add(K, K.height, self.payload, other.payload))
+        return TowerElement(K, K.algebra.add(self.payload, other.payload))
 
     def __sub__(self, other):
         self._check(other)
         K = self.tower
-        return TowerElement(K, _sub(K, K.height, self.payload, other.payload))
+        return TowerElement(K, K.algebra.sub(self.payload, other.payload))
 
     def __neg__(self):
         K = self.tower
-        return TowerElement(K, _neg(K, K.height, self.payload))
+        return TowerElement(K, K.algebra.neg(self.payload))
 
     def __mul__(self, other):
         self._check(other)
         K = self.tower
-        return TowerElement(K, _mul(K, K.height, self.payload, other.payload))
+        return TowerElement(K, K.algebra.mul(self.payload, other.payload))
 
     def __truediv__(self, other):
         self._check(other)
         K = self.tower
-        return TowerElement(K, _div(K, K.height, self.payload, other.payload))
+        return TowerElement(K, K.algebra.mul(self.payload, _invert(K, other.payload)))
 
     def inv(self) -> "TowerElement":
-        K = self.tower
-        return TowerElement(K, _inv(K, K.height, self.payload))
+        return TowerElement(self.tower, _invert(self.tower, self.payload))
 
     def __pow__(self, n: int):
         K = self.tower
         if n < 0:
             return self.inv() ** (-n)
-        result = _one(K, K.height)
-        base = self.payload
-        while n:
-            if n & 1:
-                result = _mul(K, K.height, result, base)
-            n >>= 1
-            if n:
-                base = _mul(K, K.height, base, base)
-        return TowerElement(K, result)
+        return TowerElement(K, K.algebra.pow(self.payload, n))
 
     def frobenius(self, times: int = 1) -> "TowerElement":
         return self ** (self.tower.p**times)
@@ -313,265 +329,110 @@ class TowerElement:
         return f"<{self.render()} in {self.tower.describe()}>"
 
 
-# -- payload arithmetic -------------------------------------------------
-
-
-def _layer(K: FieldTower, level: int) -> Layer:
-    return K.layers[level - 1]
-
-
-def _zero(K, level):
-    if level == 0:
-        return K.base.field.zero
-    layer = _layer(K, level)
-    if layer.kind == TRANSCENDENTAL:
-        return Frac((), (_one(K, level - 1),))
-    return (_zero(K, level - 1),) * K.layer_degree(layer)
-
-
-def _one(K, level):
-    if level == 0:
-        return K.base.field.one
-    layer = _layer(K, level)
-    if layer.kind == TRANSCENDENTAL:
-        return Frac((_one(K, level - 1),), (_one(K, level - 1),))
-    m = K.layer_degree(layer)
-    return (_one(K, level - 1),) + (_zero(K, level - 1),) * (m - 1)
-
-
-def _lift(K, level, payload):
-    """Embed a payload from level-1 into level."""
-    layer = _layer(K, level)
-    if layer.kind == TRANSCENDENTAL:
-        if _is_zero(K, level - 1, payload):
-            return Frac((), (_one(K, level - 1),))
-        return Frac((payload,), (_one(K, level - 1),))
-    m = K.layer_degree(layer)
-    return (payload,) + (_zero(K, level - 1),) * (m - 1)
-
-
-def _gen_payload(K, level):
-    layer = _layer(K, level)
-    if layer.kind == TRANSCENDENTAL:
-        return Frac((_zero(K, level - 1), _one(K, level - 1)), (_one(K, level - 1),))
-    m = K.layer_degree(layer)
-    coeffs = [_zero(K, level - 1)] * m
-    coeffs[1] = _one(K, level - 1)
-    return tuple(coeffs)
-
-
-def _is_zero(K, level, payload) -> bool:
-    if level == 0:
-        return payload.is_zero
-    if isinstance(payload, Frac):
-        return not payload.num
-    return all(_is_zero(K, level - 1, c) for c in payload)
-
-
-def _is_one(K, level, payload) -> bool:
-    return payload == _one(K, level)
-
-
-def _add(K, level, a, b):
-    if level == 0:
-        return a + b
-    layer = _layer(K, level)
-    if layer.kind == TRANSCENDENTAL:
-        s = level - 1
-        if a.den == b.den:
-            return _make_frac(K, s, _u_add(K, s, a.num, b.num), a.den)
-        num = _u_add(K, s, _u_mul(K, s, a.num, b.den), _u_mul(K, s, b.num, a.den))
-        return _make_frac(K, s, num, _u_mul(K, s, a.den, b.den))
-    return tuple(_add(K, level - 1, x, y) for x, y in zip(a, b))
-
-
-def _neg(K, level, a):
-    if level == 0:
-        return -a
-    if isinstance(a, Frac):
-        return Frac(tuple(_neg(K, level - 1, c) for c in a.num), a.den)
-    return tuple(_neg(K, level - 1, c) for c in a)
-
-
-def _sub(K, level, a, b):
-    return _add(K, level, a, _neg(K, level, b))
-
-
-def _mul(K, level, a, b):
-    if level == 0:
-        return a * b
-    layer = _layer(K, level)
-    s = level - 1
-    if layer.kind == TRANSCENDENTAL:
-        return _make_frac(K, s, _u_mul(K, s, a.num, b.num), _u_mul(K, s, a.den, b.den))
-    m = K.layer_degree(layer)
-    conv = [_zero(K, s) for _ in range(2 * m - 1)]
-    for i, x in enumerate(a):
-        if _is_zero(K, s, x):
-            continue
-        for j, y in enumerate(b):
-            if _is_zero(K, s, y):
-                continue
-            conv[i + j] = _add(K, s, conv[i + j], _mul(K, s, x, y))
-    coeffs = K.minpoly_coeffs(level)
-    for k in range(2 * m - 2, m - 1, -1):
-        c = conv[k]
-        if _is_zero(K, s, c):
-            continue
-        conv[k] = _zero(K, s)
-        for j, cf in enumerate(coeffs):
-            if _is_zero(K, s, cf):
-                continue
-            conv[k - m + j] = _sub(K, s, conv[k - m + j], _mul(K, s, c, cf))
-    return tuple(conv[:m])
-
-
-def _inv(K, level, a):
-    if _is_zero(K, level, a):
+def _invert(K: FieldTower, u: dict) -> dict:
+    if not u:
         raise DivByZero("inverse of zero tower element")
-    if level == 0:
-        return a.inv()
-    layer = _layer(K, level)
-    s = level - 1
-    if layer.kind == TRANSCENDENTAL:
-        return _make_frac(K, s, a.den, a.num)
-    minpoly = list(K.minpoly_coeffs(level)) + [_one(K, s)]
-    g, u = _u_egcd(K, s, list(a), minpoly)
-    if len(g) != 1:
-        raise ZeroDivisorDetected(layer.name)
-    scale = _inv(K, s, g[0])
-    m = K.layer_degree(layer)
-    inv = [_mul(K, s, c, scale) for c in u]
-    inv = inv[:m] + [_zero(K, s)] * (m - len(inv))
-    return tuple(inv)
-
-
-def _div(K, level, a, b):
-    return _mul(K, level, a, _inv(K, level, b))
-
-
-# -- univariate polynomial helpers over payloads ------------------------
-
-
-def _u_trim(K, s, lst):
-    n = len(lst)
-    while n and _is_zero(K, s, lst[n - 1]):
-        n -= 1
-    return tuple(lst[:n])
-
-
-def _u_add(K, s, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else _zero(K, s)
-        y = b[i] if i < len(b) else _zero(K, s)
-        out.append(_add(K, s, x, y))
-    return _u_trim(K, s, out)
-
-
-def _u_mul(K, s, a, b):
-    if not a or not b:
-        return ()
-    out = [_zero(K, s) for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if _is_zero(K, s, x):
-            continue
-        for j, y in enumerate(b):
-            if _is_zero(K, s, y):
-                continue
-            out[i + j] = _add(K, s, out[i + j], _mul(K, s, x, y))
-    return _u_trim(K, s, out)
-
-
-def _u_scale(K, s, a, c):
-    if _is_zero(K, s, c):
-        return ()
-    return _u_trim(K, s, [_mul(K, s, x, c) for x in a])
-
-
-def _u_divmod(K, s, a, b):
-    """Division with remainder; b nonzero, leading coefficient inverted below."""
-    if not b:
-        raise DivByZero("univariate division by zero")
-    lc_inv = _inv(K, s, b[-1])
-    q = [_zero(K, s) for _ in range(max(len(a) - len(b) + 1, 0))]
-    r = list(a)
-    while len(_u_trim(K, s, r)) >= len(b):
-        r = list(_u_trim(K, s, r))
-        shift = len(r) - len(b)
-        c = _mul(K, s, r[-1], lc_inv)
-        q[shift] = _add(K, s, q[shift], c)
-        for j, y in enumerate(b):
-            r[shift + j] = _sub(K, s, r[shift + j], _mul(K, s, c, y))
-    return _u_trim(K, s, q), _u_trim(K, s, r)
-
-
-def _u_gcd(K, s, a, b):
-    a, b = _u_trim(K, s, a), _u_trim(K, s, b)
-    while b:
-        _, r = _u_divmod(K, s, a, b)
-        a, b = b, r
-    if a:
-        a = _u_scale(K, s, a, _inv(K, s, a[-1]))
-    return a
-
-
-def _u_egcd(K, s, a, b):
-    """(g, u) with u*a = g modulo b."""
-    r0, r1 = _u_trim(K, s, a), _u_trim(K, s, b)
-    s0, s1 = (_one(K, s),), ()
-    while r1:
-        q, r = _u_divmod(K, s, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _u_add(K, s, s0, tuple(_neg(K, s, c) for c in _u_mul(K, s, q, s1)))
-    return list(r0), list(s0)
-
-
-def _make_frac(K, s, num, den):
-    num, den = _u_trim(K, s, num), _u_trim(K, s, den)
-    if not den:
-        raise DivByZero("fraction with zero denominator")
-    if not num:
-        return Frac((), (_one(K, s),))
-    g = _u_gcd(K, s, num, den)
-    if len(g) > 1:
-        num = _u_divmod(K, s, num, g)[0]
-        den = _u_divmod(K, s, den, g)[0]
-    if not _is_one(K, s, den[-1]):
-        lc_inv = _inv(K, s, den[-1])
-        num = _u_scale(K, s, num, lc_inv)
-        den = _u_scale(K, s, den, lc_inv)
-    return Frac(num, den)
+    inv = K.algebra.invert(u)
+    if inv is None:
+        raise ZeroDivisorDetected(K.layers[-1].name)
+    return inv
 
 
 # -- rendering -----------------------------------------------------------
 
 
-def render_element(K: FieldTower, payload, level: int) -> str:
+def render_element(K: FieldTower, vec: dict, level: int) -> str:
+    """Text of the recursive normal form of a vector of K that lies in the first `level` layers.
+
+    An algebraic or inseparable layer shows a polynomial in its generator with
+    coefficients one level below; a transcendental layer shows num/den in its
+    generator, den monic and coprime to num over the level below.
+    """
+    if not vec:
+        return "0"
     if level == 0:
-        return render_ratfunc(payload, K.base.varnames)
-    layer = _layer(K, level)
-    if isinstance(payload, Frac):
-        num = _render_upoly(K, payload.num, level - 1, layer.name)
-        if len(payload.den) == 1 and _is_one(K, level - 1, payload.den[0]):
-            return num
-        den = _render_upoly(K, payload.den, level - 1, layer.name)
-        return f"({num})/({den})"
-    return _render_upoly(K, payload, level - 1, layer.name)
+        (c,) = vec.values()
+        return render_ratfunc(c, K.t_names)
+    layer = K.layers[level - 1]
+    idx = K.flat_index[level]
+    if layer.kind != TRANSCENDENTAL:
+        coeffs = [{} for _ in range(K.layer_degree(layer))]
+        for e, c in vec.items():
+            coeffs[e[idx]][e[:idx] + (0,) + e[idx + 1 :]] = c
+        return _render_upoly(K, coeffs, level - 1, layer.name)
+    num, den = _fraction(K, vec, level)
+    text = _render_upoly(K, num, level - 1, layer.name)
+    if len(den) == 1:
+        return text
+    return f"({text})/({_render_upoly(K, den, level - 1, layer.name)})"
 
 
-def _render_upoly(K, coeffs, s, name) -> str:
+def _fraction(K: FieldTower, vec: dict, level: int) -> tuple:
+    """(num, den) in the generator y of a transcendental level, as coefficient lists.
+
+    Coefficients are vectors of the level below; den is monic and coprime to
+    num.  Without a slot below y the vector is one reduced rational function,
+    whose split by degree in y is already coprime (Gauss's lemma); otherwise a
+    Euclid over the flat algebra finds the common factor.
+    """
+    alg = K.algebra
+    var = K.flat_index[level]
+    common = reduce(poly_lcm, (c.den for c in vec.values()))
+
+    def by_degree(polys: dict) -> list:
+        out = []
+        for e, f in polys.items():
+            for x, a in f.terms.items():
+                out.extend({} for _ in range(x[var] + 1 - len(out)))
+                out[x[var]].setdefault(e, {})[x[:var] + (0,) + x[var + 1 :]] = a
+        return [{e: RatFunc.from_poly(MultiPoly(common.dom, common.arity, t)) for e, t in c.items()} for c in out]
+
+    num = by_degree({e: c.num * divexact(common, c.den) for e, c in vec.items()})
+    den = by_degree({(0,) * alg.nslots: common})
+    if any(l.kind != TRANSCENDENTAL for l in K.layers[: level - 1]):
+        g = _upoly_gcd(K, num, den)
+        if len(g) > 1:
+            num, den = _upoly_divmod(alg, num, g)[0], _upoly_divmod(alg, den, g)[0]
+    inv = _invert(K, den[-1])
+    return [alg.mul(c, inv) for c in num], [alg.mul(c, inv) for c in den]
+
+
+def _upoly_divmod(alg, a: list, b: list) -> tuple:
+    """(q, r) with a = q b + r for polynomials with vector coefficients, b monic."""
+    r = list(a)
+    q = [{}] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c, shift = r.pop(), len(r) + 1 - len(b)
+        q[shift] = c
+        for j, y in enumerate(b[:-1]):
+            r[shift + j] = alg.sub(r[shift + j], alg.mul(c, y))
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _upoly_gcd(K: FieldTower, a: list, b: list) -> list:
+    """Monic gcd of two polynomials with vector coefficients, b nonzero."""
+    alg = K.algebra
+    while b:
+        inv = _invert(K, b[-1])
+        b = [alg.mul(c, inv) for c in b]
+        a, b = b, _upoly_divmod(alg, a, b)[1]
+    return a
+
+
+def _render_upoly(K: FieldTower, coeffs: list, s: int, name: str) -> str:
+    one = K.algebra.one()
     bits = []
     for j in range(len(coeffs) - 1, -1, -1):
         c = coeffs[j]
-        if _is_zero(K, s, c):
+        if not c:
             continue
         cs = render_element(K, c, s)
         mono = "" if j == 0 else (name if j == 1 else f"{name}^{j}")
         if not mono:
             bits.append(f"({cs})" if (" " in cs or "/" in cs) else cs)
-        elif _is_one(K, s, c):
+        elif c == one:
             bits.append(mono)
         else:
             cs_wrapped = f"({cs})" if (" " in cs or "/" in cs or "*" in cs) else cs

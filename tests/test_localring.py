@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from ejump import localring
 from ejump.acceptance import _buchberger_edim
-from ejump.errors import ArityMismatch, NotContained, NotPrime, ZeroDivisorDetected
+from ejump.errors import (
+    ArityMismatch,
+    NotContained,
+    NotPrime,
+    TriangularizationFailed,
+    ZeroDivisorDetected,
+)
 from ejump.ff_arith import IdealPresentation, MultiPoly, poly_from_text, render_poly
 from ejump.instances import (
     cusp_char2,
@@ -153,6 +159,31 @@ class TestBaseChangePoint:
         I, P = cusp_char2()
         nI, nP, nb, structure = base_change_point(I, P, {"t": 0})
         assert nI is I and nP is P and nb == P.base and structure is None
+
+    @pytest.mark.parametrize("case", ["cusp_char2", "cusp_char3"] + [f"bound-{seed}" for seed in range(8)])
+    def test_one_lex_basis_and_no_quotient_dim(self, case, monkeypatch):
+        if case.startswith("cusp"):
+            I, P = {"cusp_char2": cusp_char2, "cusp_char3": cusp_char3}[case]()
+            exponents = (1,)
+        else:
+            I, P, exponents = random_bound_instance(random.Random(int(case.split("-")[1])))
+        calls = {"groebner_basis": 0, "quotient_dim": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _real=getattr(localring, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(localring, name, counted)
+        base_change_point(I, P, exponents)
+        assert calls == {"groebner_basis": 1, "quotient_dim": 0}
+
+    @pytest.mark.parametrize("gens", [("x^2", "x*y", "y^2"), ("x - 1", "x", "y")])
+    def test_triangularization_failed(self, gens):
+        base = BaseField(3, ("t",))
+        vs = ("x", "y")
+        with pytest.raises(TriangularizationFailed):
+            localring._triangularize(base, vs, tuple(poly_from_text(base.field, vs, g) for g in gens))
 
 
 class TestJumpReports:

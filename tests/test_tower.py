@@ -13,6 +13,7 @@ from ejump.flat import flat_model
 from ejump.tower import (
     BaseField,
     FieldTower,
+    TowerElement,
     adjoin_p_root,
     algebraic_layer,
     is_p_power_tower,
@@ -147,6 +148,78 @@ class TestDegrees:
         K2 = tower_extend(K, algebraic_layer(K, "w", [-K.gen("q"), K.zero]))
         assert K2.degree_over_transcendental_base() == 18
         assert flat_model(K2).algebra.dimension == 18
+
+
+def f3_u_y_v():
+    """F_3(t)(u : u^2 = t)(y)(v : v^2 = y + u), with the prefixes up to u and up to y."""
+    k = FieldTower(BaseField(3, ("t",)))
+    Ku = tower_extend(k, algebraic_layer(k, "u", [-k.base_var("t"), k.zero]))
+    Ky = tower_extend(Ku, transcendental_layer("y"))
+    Kv = tower_extend(Ky, algebraic_layer(Ky, "v", [-(Ky.gen("y") + Ky.gen("u")), Ky.zero]))
+    return Ku, Ky, Kv
+
+
+class TestRendering:
+    """Renderings of the recursive normal form, pinned byte for byte."""
+
+    def test_two_transcendental_layers(self):
+        k = FieldTower(BaseField(3, ("t",)))
+        K = tower_extend(tower_extend(k, transcendental_layer("y")), transcendental_layer("z"))
+        t, y, z = K.base_var("t"), K.gen("y"), K.gen("z")
+        assert K.describe() == "F3(t) adjoin y trans adjoin z trans"
+        assert ((y * z + t) / (y - z)).render() == "((2*y)*z + 2*t)/(z + 2*y)"
+        assert ((y * y - z * z) / (t * y + t * z)).render() == "((2/t))*z + ((1/t)*y)"
+        assert (y / (z * z + t) + z).render() == "(z^3 + t*z + y)/(z^2 + t)"
+        assert ((y + K.one) ** 3 / (t * z)).render() == "(((1/t)*y^3 + (1/t)))/(z)"
+
+    def test_fraction_cancels_over_an_algebraic_layer(self):
+        Ku, Ky, Kv = f3_u_y_v()
+        u, y = Ky.gen("u"), Ky.gen("y")
+        x = (y - u) / (y * y - Ky.base_var("t"))
+        assert Ky.describe() == "F3(t) adjoin u alg u^2 + 2*t adjoin y trans"
+        assert x.render() == "(1)/(y + u)"
+        assert Kv.describe() == "F3(t) adjoin u alg u^2 + 2*t adjoin y trans adjoin v alg v^2 + (2*y + 2*u)"
+        assert Kv.embed(x).render() == "((1)/(y + u))"
+        assert (Kv.gen("v") * Kv.embed(x) + Kv.gen("u")).render() == "((1)/(y + u))*v + u"
+
+    def test_inseparable_root_over_a_transcendental_layer(self):
+        k = FieldTower(BaseField(5, ("t",)))
+        Ky = tower_extend(k, transcendental_layer("y1"))
+        t = Ky.base_var("t")
+        K = adjoin_p_root(Ky, t * t * Ky.from_int(2) + t * Ky.from_int(2), 1, name="g1")
+        g, y, t = K.gen("g1"), K.gen("y1"), K.base_var("t")
+        assert K.describe() == "F5(t) adjoin y1 trans adjoin g1 root (2*t^2 + 2*t) exp 1"
+        assert ((g + y) / (y * y + t)).render() == "((1)/(y1^2 + t))*g1 + ((y1)/(y1^2 + t))"
+        assert ((y * g + t) ** 2).render() == "y1^2*g1^2 + ((2*t)*y1)*g1 + t^2"
+
+
+class TestEmbedding:
+    def test_embed_across_a_transcendental_layer_commutes_with_products(self):
+        import random
+
+        from ejump.instances import random_tower_element
+
+        Ku, Ky, Kv = f3_u_y_v()
+        rng = random.Random(7)
+        for K in (Ku, Ky):
+            for _ in range(5):
+                a, b = random_tower_element(rng, K), random_tower_element(rng, K)
+                assert Kv.embed(a * b) == Kv.embed(a) * Kv.embed(b)
+                assert Kv.embed(a + b) == Kv.embed(a) + Kv.embed(b)
+        u = Ku.gen("u")
+        assert Kv.embed(u) * Kv.embed(u) == Kv.base_var("t")
+
+    def test_rebuilt_tower_reads_the_same_payload(self):
+        import random
+
+        from ejump.instances import random_tower_element
+
+        _, _, K = f3_u_y_v()
+        rng = random.Random(11)
+        rebuilt = FieldTower(K.base, K.layers)
+        for x in [K.gen("v") / (K.gen("y") + K.gen("u"))] + [random_tower_element(rng, K) for _ in range(5)]:
+            assert TowerElement(rebuilt, x.payload) == x
+            assert TowerElement(rebuilt, x.payload) ** 3 == rebuilt.embed(x ** 3)
 
 
 @given(tower_elements())
