@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per output family, to compare two trees byte for byte.
 
-    PYTHONPATH=src python3 scripts/output_digest.py
+    python3 scripts/output_digest.py
 
 Families:
 - sessions-json: the CLI JSON of every `sessions` benchmark case, seeds 1 and 2;
@@ -19,7 +19,9 @@ import os
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
 

@@ -27,6 +27,7 @@ from .tower import (
     FieldTower,
     TowerElement,
     adjoin_p_root,
+    fresh_name,
     max_p_power_exponent,
 )
 
@@ -115,14 +116,6 @@ class TruncatedStructure:
             raise InternalInvariantViolation("dimension bookkeeping of the base change failed")
 
 
-def _fresh_name(K: FieldTower, stem: str) -> str:
-    taken = set(K.base.varnames) | {l.name for l in K.layers}
-    i = 1
-    while f"{stem}{i}" in taken:
-        i += 1
-    return f"{stem}{i}"
-
-
 def base_change_structure(K: FieldTower, spec: InseparableExtensionSpec) -> TruncatedStructure:
     """Walk the spec entries, growing the residue field as needed.
 
@@ -155,7 +148,7 @@ def base_change_structure(K: FieldTower, spec: InseparableExtensionSpec) -> Trun
         if m >= n:
             nilpotents.append(NilpotentRecord(idx, n, root_m, 1))
         else:
-            name = _fresh_name(L, "g")
+            name = fresh_name(L, "g")
             L = adjoin_p_root(L, root_m, n - m, name=name)
             adjoined.append((idx, name))
             if m >= 1:
@@ -279,16 +272,16 @@ def verify_structure_oracle(
         root_vec = conc.eval_residue_element(structure, rec.root)
         target = conc.scalar_base(a)
         corrected = False
-        if not alg.eq(alg.pow(root_vec, p**m), target):
-            delta = alg.sub(target, alg.pow(root_vec, p**m))
-            w = p_power_root(alg, delta, m)
+        root_q = alg.frobenius(root_vec, p**m)
+        if not alg.eq(root_q, target):
+            w = p_power_root(alg, alg.sub(target, root_q), m)
             if w is not None:
                 root_vec = alg.add(root_vec, w)
                 corrected = True
         eps = alg.sub(root_vec, conc.z_gen(rec.entry_index, rec.z_power))
         # order exponents are >= 1, so p^m - 1 >= 1 and exactness means:
         # eps^(p^m) = 0 while eps^(p^m - 1) != 0
-        vanishes = alg.is_zero(alg.pow(eps, p**m))
+        vanishes = alg.is_zero(alg.frobenius(eps, p**m))
         sharp = not alg.is_zero(alg.pow(eps, p**m - 1))
         checks.append(NilpotentCheck(rec.entry_index, m, vanishes and sharp, corrected))
         eps_vecs.append(eps)

@@ -17,14 +17,12 @@ from .poly import (
     MultiPoly,
     PrimeField,
     divexact,
-    is_p_power_poly,
     is_prime,
     monic,
-    p_root_poly,
     poly_gcd,
     poly_lcm,
 )
-from .ratfunc import FractionField, RatFunc, is_p_power_ratfunc, p_root_ratfunc
+from .ratfunc import FractionField, RatFunc
 from .text import parse_expression, poly_from_text, ratfunc_from_text, render_poly, render_ratfunc, tokenize
 
 __all__ = [
@@ -40,13 +38,9 @@ __all__ = [
     "divexact",
     "groebner_basis",
     "ideal_contains",
-    "is_p_power_poly",
-    "is_p_power_ratfunc",
     "is_prime",
     "monic",
     "normal_form",
-    "p_root_poly",
-    "p_root_ratfunc",
     "parse_expression",
     "poly_from_text",
     "poly_gcd",

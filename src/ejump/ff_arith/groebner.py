@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import InternalInvariantViolation
-from .poly import GREVLEX, MonomialOrder, MultiPoly, divexact, poly_gcd
+from .poly import GREVLEX, MonomialOrder, MultiPoly, monic, poly_gcd, poly_lcm
 from .ratfunc import FractionField, RatFunc
 
 
@@ -88,7 +88,7 @@ def _clear_denominators(f: MultiPoly) -> MultiPoly:
     field = f.dom
     den = None
     for c in f.terms.values():
-        den = c.den if den is None else _poly_lcm(den, c.den)
+        den = c.den if den is None else poly_lcm(den, c.den)
     if not den.is_constant or den.constant_value() != 1:
         scale = RatFunc.from_poly(den)
         f = MultiPoly(field, f.arity, {e: c * scale for e, c in f.terms.items()})
@@ -101,21 +101,6 @@ def _clear_denominators(f: MultiPoly) -> MultiPoly:
         inv = RatFunc.from_poly(content).inv()
         f = MultiPoly(field, f.arity, {e: c * inv for e, c in f.terms.items()})
     return f
-
-
-def _poly_lcm(a, b):
-    if a == b:
-        return a
-    g = poly_gcd(a, b)
-    return divexact(a * b, g)
-
-
-def _monic(f: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    _, c = f.leading(order)
-    if f.dom.is_one(c):
-        return f
-    inv = c.inv()
-    return MultiPoly(f.dom, f.arity, {e: v * inv for e, v in f.terms.items()})
 
 
 def groebner_basis(I: IdealPresentation) -> GroebnerBasis:
@@ -167,7 +152,7 @@ def groebner_basis(I: IdealPresentation) -> GroebnerBasis:
         r = normal_form(g, others, order) if others else g
         if r.is_zero:
             continue
-        reduced.append(_monic(r, order))
+        reduced.append(monic(r, order))
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
     return GroebnerBasis(I.coeff_field, I.varnames, tuple(reduced), order)
 

@@ -28,7 +28,7 @@ import functools
 import random
 from typing import Callable, Iterable
 
-from ..errors import ArityMismatch, BothZero, DivByZero, InternalInvariantViolation, NotAPower
+from ..errors import ArityMismatch, BothZero, DivByZero, InternalInvariantViolation
 
 MAX_PRIME = 101
 
@@ -638,20 +638,6 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 def poly_lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if a.is_zero or b.is_zero:
         return MultiPoly.zero(a.dom, a.arity)
+    if a == b:
+        return monic(a)
     return monic(divexact(a * b, poly_gcd(a, b)))
-
-
-# -- p-th powers ------------------------------------------------------
-
-
-def is_p_power_poly(f: MultiPoly) -> bool:
-    """True iff every exponent is divisible by p (coefficients are Frobenius-fixed)."""
-    p = f.dom.p
-    return all(e % p == 0 for exp in f.terms for e in exp)
-
-
-def p_root_poly(f: MultiPoly) -> MultiPoly:
-    if not is_p_power_poly(f):
-        raise NotAPower("polynomial is not a p-th power")
-    p = f.dom.p
-    return MultiPoly(f.dom, f.arity, {tuple(e // p for e in exp): c for exp, c in f.terms.items()})

@@ -7,14 +7,12 @@ numerator and denominator are coprime.
 
 from __future__ import annotations
 
-from ..errors import ArityMismatch, DivByZero, NotAPower
+from ..errors import ArityMismatch, DivByZero
 from .poly import (
     GREVLEX,
     MultiPoly,
     PrimeField,
     divexact,
-    is_p_power_poly,
-    p_root_poly,
     poly_gcd,
 )
 
@@ -137,17 +135,6 @@ class RatFunc:
         if self.is_polynomial and self.den.constant_value() == 1:
             return f"RatFunc({self.num!r})"
         return f"RatFunc({self.num!r} / {self.den!r})"
-
-
-def is_p_power_ratfunc(f: RatFunc) -> bool:
-    """True iff f lies in k^p; zero counts as 0 = 0^p."""
-    return is_p_power_poly(f.num) and is_p_power_poly(f.den)
-
-
-def p_root_ratfunc(f: RatFunc) -> RatFunc:
-    if not is_p_power_ratfunc(f):
-        raise NotAPower("rational function is not a p-th power")
-    return RatFunc(p_root_poly(f.num), p_root_poly(f.den), _normalized=True)
 
 
 class FractionField:

@@ -8,10 +8,16 @@ element's payload is its vector in it.  The same container also models the
 truncated algebras K[z]/(z^q - a) needed by the base-change oracle, since
 those are just extra reduction layers.
 
-On top of the flat algebra sits the p-th root solver: z^q = a with q = p^r
-is semilinear over k0, and splitting every scalar over the k0^q-basis of
-monomials T^mu with exponents below q turns it into an honest linear system
-with a unique solution whenever a root exists.  This makes root extraction
+Every q-th power with q = p^r is `FlatAlgebra.frobenius`: a coefficient
+c(T) goes to c(T^q) and a monomial to a product of cached generator powers,
+which is exact in any commutative F_p-algebra, reduced or not.  Square and
+multiply (`pow`) only builds those generator powers.
+
+On top of the flat algebra sits the p-th root solver: z^q = a is semilinear
+over k0, and splitting every scalar over the k0^q-basis of monomials T^mu
+with exponents below q turns it into an honest linear system with a unique
+solution whenever a root exists.  Its matrix, its denominator scale and its
+final check x^q = a are all Frobenius images.  This makes root extraction
 total: no presentation is ever rejected.
 
 `FlatModel` pairs a tower with its algebra.  `FlatModel.flatten` returns an
@@ -164,12 +170,27 @@ class FlatAlgebra:
             self._gen_power_cache[key] = self.pow(self.gen(slot), n)
         return self._gen_power_cache[key]
 
+    def frobenius(self, u: dict, q: int) -> dict:
+        """u^q for q a power of p, term by term.
+
+        Frobenius is additive and fixes F_p in any commutative F_p-algebra, so
+        a coefficient c(T) goes to c(T^q) and a monomial to the product of the
+        cached generator powers gen^(q k).
+        """
+        out = self.zero()
+        for e, c in u.items():
+            term = self.scalar(_frobenius_scalar(c, q))
+            for s, k in enumerate(e):
+                if k:
+                    term = self.mul(term, self.gen_power(s, q * k))
+            out = self.add(out, term)
+        return out
+
     def _frobenius_below(self, u: dict, slot: int):
         """u^q, which lies below `slot`, or None if the slot's layer is not inseparable.
 
         `slot` is u's highest slot.  An inseparable layer is z^q = r with q a
-        power of p and r below the slot; coefficients and monomials then go to
-        their q-th powers, and z^(q k) = r^k.
+        power of p and r below the slot, so z^(q k) = r^k.
         """
         layer = self.layers[slot]
         q = layer.degree
@@ -177,20 +198,7 @@ class FlatAlgebra:
             q //= self.field.p
         if q != 1 or any(e[slot] for e in layer.reduction):
             return None
-        q = layer.degree
-
-        def frob(e):
-            return tuple(q * k for k in e)
-
-        out = self.zero()
-        for e, c in u.items():
-            c_q = RatFunc(c.num.map_exponents(frob), c.den.map_exponents(frob), _normalized=True)
-            term = self.scalar(c_q)
-            for s, k in enumerate(e):
-                if k:
-                    term = self.mul(term, self.gen_power(s, q * k))
-            out = self.add(out, term)
-        return out
+        return self.frobenius(u, layer.degree)
 
     def is_unit(self, u: dict) -> bool:
         """Whether u is invertible.
@@ -338,6 +346,15 @@ def flat_model(K: FieldTower) -> FlatModel:
 # -- Frobenius-linearized p-power roots -----------------------------------
 
 
+def _frobenius_scalar(c: RatFunc, q: int) -> RatFunc:
+    """c^q for q a power of p: F_p is fixed, so c(T)^q = c(T^q), still in lowest terms."""
+
+    def frob(e):
+        return tuple(q * k for k in e)
+
+    return RatFunc(c.num.map_exponents(frob), c.den.map_exponents(frob), _normalized=True)
+
+
 def frobenius_split(c: RatFunc, q: int, nvars: int) -> dict:
     """Write c as sum of (piece_mu)^q * T^mu over exponents mu below q."""
     num, den = c.num, c.den
@@ -359,26 +376,17 @@ def frobenius_split(c: RatFunc, q: int, nvars: int) -> dict:
 
 def p_power_root(algebra: FlatAlgebra, target: dict, r: int):
     """Solve x^(p^r) = target in the algebra; None when no solution exists."""
-    q = algebra.field.p**r
+    field = algebra.field
+    q = field.p**r
     basis = algebra.basis()
-    nvars = len(algebra.field.varnames)
+    nvars = len(field.varnames)
     n = len(basis)
+    powers = {e: algebra.frobenius({e: field.one}, q) for e in basis}
 
-    # p^r-th powers of all basis monomials, built multiplicatively
-    gen_pows = [algebra.gen_power(slot, algebra.field.p**r) for slot in range(algebra.nslots)]
-    powers = {(0,) * algebra.nslots: algebra.one()}
-    for e in basis:
-        if e in powers:
-            continue
-        slot = next(i for i, v in enumerate(e) if v)
-        prev = list(e)
-        prev[slot] -= 1
-        powers[e] = algebra.mul(powers[tuple(prev)], gen_pows[slot])
-
-    solver = LinearSolver(algebra.field, n)
+    solver = LinearSolver(field, n)
     for gamma in basis:
-        entries = [powers[alpha].get(gamma, algebra.field.zero) for alpha in basis]
-        rhs = target.get(gamma, algebra.field.zero)
+        entries = [powers[alpha].get(gamma, field.zero) for alpha in basis]
+        rhs = target.get(gamma, field.zero)
         if all(c.is_zero for c in entries) and rhs.is_zero:
             continue
         den = None
@@ -386,7 +394,7 @@ def p_power_root(algebra: FlatAlgebra, target: dict, r: int):
             if c.is_zero:
                 continue
             den = c.den if den is None else poly_lcm(den, c.den)
-        scale = RatFunc.from_poly(den) ** q if den is not None else None
+        scale = _frobenius_scalar(RatFunc.from_poly(den), q) if den is not None else None
         cleared = []
         for c in entries + [rhs]:
             if scale is not None:
@@ -397,24 +405,15 @@ def p_power_root(algebra: FlatAlgebra, target: dict, r: int):
         splits = [frobenius_split(c, q, nvars) for c in cleared]
         mus = sorted({mu for s in splits for mu in s})
         for mu in mus:
-            row = [s.get(mu, algebra.field.zero) for s in splits[:-1]]
-            rhs_mu = splits[-1].get(mu, algebra.field.zero)
+            row = [s.get(mu, field.zero) for s in splits[:-1]]
+            rhs_mu = splits[-1].get(mu, field.zero)
             if not solver.add_equation(row, rhs_mu):
                 return None
         if solver.rank == n:
             break
 
-    sol = solver.solution()
-    x = algebra.zero()
-    for e, c in zip(basis, sol):
-        if not c.is_zero:
-            x[e] = c
-    if not algebra.eq(algebra.pow(x, q), target):
+    x = {e: c for e, c in zip(basis, solver.solution()) if not c.is_zero}
+    # the loop stops once the rank is full, so rows it skipped are checked here
+    if not algebra.eq(algebra.frobenius(x, q), target):
         return None
     return x
-
-
-def tower_p_root(a: TowerElement):
-    """p-th root of a tower element, or None."""
-    root = p_power_root(a.tower.algebra, a.payload, 1)
-    return None if root is None else TowerElement(a.tower, root)

@@ -21,6 +21,7 @@ from .tower import (
     TowerElement,
     adjoin_p_root,
     algebraic_layer,
+    fresh_name,
     is_p_power_tower,
     tower_extend,
     transcendental_layer,
@@ -91,18 +92,10 @@ def random_base_element(rng: random.Random, base: BaseField, allow_fraction: boo
     return RatFunc.from_poly(num)
 
 
-def _fresh(K: FieldTower, stem: str) -> str:
-    taken = set(K.base.varnames) | {l.name for l in K.layers}
-    i = 1
-    while f"{stem}{i}" in taken:
-        i += 1
-    return f"{stem}{i}"
-
-
 def _separable_first_layer(K: FieldTower) -> FieldTower:
     """A separable algebraic layer irreducible over any rational base."""
     p = K.p
-    name = _fresh(K, "a")
+    name = fresh_name(K, "a")
     t = K.base_var(K.base.varnames[0])
     if p == 2:
         # Y^2 + Y + t: Artin-Schreier, irreducible over F_2(t,...)
@@ -117,12 +110,12 @@ def _separable_first_layer(K: FieldTower) -> FieldTower:
 def _eisenstein_pair(rng: random.Random, K: FieldTower) -> FieldTower:
     """Fresh transcendental y followed by u^m = y + c, separable since p does not divide m."""
     p = K.p
-    yname = _fresh(K, "y")
+    yname = fresh_name(K, "y")
     K = tower_extend(K, transcendental_layer(yname))
     m = 3 if p == 2 else 2
     c = K.from_int(rng.randint(0, p - 1))
     rad = K.gen(yname) + c
-    name = _fresh(K, "b")
+    name = fresh_name(K, "b")
     coeffs = [-rad] + [K.zero] * (m - 1)
     return tower_extend(K, algebraic_layer(K, name, coeffs))
 
@@ -137,7 +130,7 @@ def _random_inseparable_layer(rng: random.Random, K: FieldTower, max_exp: int):
             continue
         e = 1 if max_exp <= 1 or rng.random() < 0.7 else rng.randint(1, max_exp)
         try:
-            return adjoin_p_root(K, elt, e, name=_fresh(K, "g")), a
+            return adjoin_p_root(K, elt, e, name=fresh_name(K, "g")), a
         except NotAPowerViolation:
             continue
     return None, None
@@ -166,7 +159,7 @@ def random_tower(
         attempts += 1
         kind = rng.choice(("trans", "insep", "insep", "sep", "pair"))
         if kind == "trans":
-            K = tower_extend(K, transcendental_layer(_fresh(K, "y")))
+            K = tower_extend(K, transcendental_layer(fresh_name(K, "y")))
         elif kind == "insep":
             if K.degree_over_transcendental_base() * p > dim_budget:
                 continue

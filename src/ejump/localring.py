@@ -256,9 +256,8 @@ def normalize_exponents(base: BaseField, exponents) -> tuple:
     return out
 
 
-def _reparametrized_field(base: BaseField, exponents: tuple, forbidden) -> tuple:
-    names = _new_base_names(base, exponents, forbidden)
-    return BaseField(base.p, names), names
+def _reparametrized_field(base: BaseField, exponents: tuple, forbidden) -> BaseField:
+    return BaseField(base.p, _new_base_names(base, exponents, forbidden))
 
 
 def _subst_ratfunc(r: RatFunc, scales: tuple) -> RatFunc:
@@ -295,7 +294,7 @@ def base_change_point(I: IdealPresentation, P: ClosedPoint, exponents) -> tuple:
         return I, P, base, None
     p = base.p
     scales = tuple(p**e for e in exponents)
-    new_base, _ = _reparametrized_field(base, exponents, forbidden=set(P.varnames))
+    new_base = _reparametrized_field(base, exponents, forbidden=set(P.varnames))
     new_field = new_base.field
 
     new_I = IdealPresentation(

@@ -123,9 +123,6 @@ class FieldTower:
     def transcendental_names(self) -> list:
         return [l.name for l in self.layers if l.kind == TRANSCENDENTAL]
 
-    def generator_names(self) -> list:
-        return [l.name for l in self.layers]
-
     def is_prefix_of(self, other: "FieldTower") -> bool:
         return (
             self.base == other.base
@@ -319,9 +316,6 @@ class TowerElement:
             return self.inv() ** (-n)
         return TowerElement(K, K.algebra.pow(self.payload, n))
 
-    def frobenius(self, times: int = 1) -> "TowerElement":
-        return self ** (self.tower.p**times)
-
     def render(self) -> str:
         return render_element(self.tower, self.payload, self.tower.height)
 
@@ -489,16 +483,17 @@ def inseparable_root_layer(K: FieldTower, name: str, radicand: TowerElement, exp
 def adjoin_p_root(K: FieldTower, a: TowerElement, e: int, name: str | None = None) -> FieldTower:
     """Extend by a verified inseparable root y^(p^e) = a."""
     if name is None:
-        name = _fresh_root_name(K)
+        name = fresh_name(K, "r")
     return tower_extend(K, inseparable_root_layer(K, name, a, e))
 
 
-def _fresh_root_name(K: FieldTower) -> str:
+def fresh_name(K: FieldTower, stem: str) -> str:
+    """The first of stem1, stem2, ... that names no base variable or layer of K."""
     taken = set(K.base.varnames) | {l.name for l in K.layers}
     i = 1
-    while f"r{i}" in taken:
+    while f"{stem}{i}" in taken:
         i += 1
-    return f"r{i}"
+    return f"{stem}{i}"
 
 
 def is_p_power_tower(a: TowerElement) -> bool:
@@ -514,12 +509,12 @@ def p_root_tower(a: TowerElement) -> TowerElement:
     """The unique r with r^p = a; NotAPower if none exists."""
     if a.is_zero:
         return a.tower.zero
-    from . import flat
+    from .flat import p_power_root
 
-    root = flat.tower_p_root(a)
+    root = p_power_root(a.tower.algebra, a.payload, 1)
     if root is None:
         raise NotAPower("element has no p-th root in its tower")
-    return root
+    return TowerElement(a.tower, root)
 
 
 def max_p_power_exponent(a: TowerElement, bound: int) -> tuple:

@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ejump.ff_arith import FractionField, RatFunc
 from ejump.flat import FlatAlgebra, FlatLayer, flat_model, frobenius_split, p_power_root
 from ejump.tower import BaseField, FieldTower, adjoin_p_root
 
-from .strategies import ratfuncs, towers
+from .strategies import primes, ratfuncs, tower_elements, towers
 
 
 def algebra_mod_square_diff():
@@ -106,6 +107,42 @@ class TestFrobeniusSplit:
         assert total == f
 
 
+@st.composite
+def truncated_algebra_elements(draw):
+    """(algebra, u): F_p(t)[z1, ...]/(zi^(p^ni) - ai) with a1 a p-th power, so the algebra is not reduced."""
+    p = draw(primes)
+    field = FractionField(p, ("t",))
+    exps = [draw(st.integers(1, 2 if p == 2 else 1))]
+    if p == 2 and draw(st.booleans()):
+        exps.append(1)  # dimension at most 8
+    nslots = len(exps)
+    layers = []
+    for i, n in enumerate(exps):
+        a = draw(ratfuncs(p=p, arity=1, nonzero=True))
+        layers.append(FlatLayer(f"z{i + 1}", p**n, {(0,) * nslots: a**p if i == 0 else a}))
+    alg = FlatAlgebra(field, layers)
+    u = alg.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        e = tuple(draw(st.integers(0, layer.degree - 1)) for layer in layers)
+        u = alg.add(u, {e: draw(ratfuncs(p=p, arity=1))})
+    return alg, u
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("r", [1, 2])
+    @given(x=tower_elements())
+    def test_matches_pow_in_towers(self, r, x):
+        alg, q = x.tower.algebra, x.tower.p**r
+        assert alg.frobenius(x.payload, q) == alg.pow(x.payload, q)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @given(case=truncated_algebra_elements())
+    def test_matches_pow_in_truncated_algebras(self, r, case):
+        alg, u = case
+        q = alg.field.p**r
+        assert alg.frobenius(u, q) == alg.pow(u, q)
+
+
 class TestPPowerRoot:
     def test_solves_in_nonreduced_algebra(self):
         # x^2 = t^2 has the solutions t + nilpotent; any exact one is accepted
@@ -128,3 +165,23 @@ class TestPPowerRoot:
         root = p_power_root(model.algebra, vec, 1)
         assert root is not None
         assert model.unflatten(root) == x
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_takes_no_power_of_a_sum(self, monkeypatch, r):
+        # q-th powers of whole vectors go through frobenius; pow only builds generator powers
+        k = FieldTower(BaseField(3, ("t",)))
+        K = adjoin_p_root(k, k.base_var("t"), 1, name="u")
+        x = K.gen("u") + K.base_var("t") + K.one
+        target = (x ** (3**r)).payload
+        alg = FlatAlgebra(K.algebra.field, K.algebra.layers)  # empty generator-power cache
+        sizes = []
+        pow_ = FlatAlgebra.pow
+
+        def spy(self, u, n):
+            sizes.append(len(u))
+            return pow_(self, u, n)
+
+        monkeypatch.setattr(FlatAlgebra, "pow", spy)
+        root = p_power_root(alg, target, r)
+        assert root == x.payload
+        assert sizes and max(sizes) == 1

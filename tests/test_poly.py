@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ejump.errors import BothZero, NotAPower
+from ejump.errors import BothZero
 from ejump.ff_arith import poly
 from ejump.ff_arith import (
     GREVLEX,
@@ -13,9 +13,7 @@ from ejump.ff_arith import (
     MultiPoly,
     PrimeField,
     divexact,
-    is_p_power_poly,
     monic,
-    p_root_poly,
     poly_gcd,
     render_poly,
 )
@@ -71,22 +69,6 @@ class TestGcdExamples:
             poly_gcd(z, z)
 
 
-class TestPPower:
-    def test_square_detection(self):
-        t = MultiPoly.gen(F2, 1, 0)
-        assert is_p_power_poly(t**2)
-        assert p_root_poly(t**2) == t
-        assert not is_p_power_poly(t)
-        with pytest.raises(NotAPower):
-            p_root_poly(t)
-
-    def test_multivariate_root(self):
-        t1 = MultiPoly.gen(F2, 2, 0)
-        t2 = MultiPoly.gen(F2, 2, 1)
-        f = t1**2 * t2**4 + t2**2
-        assert p_root_poly(f) == t1 * t2**2 + t2
-
-
 class TestOrders:
     def test_grevlex_leading(self):
         x = MultiPoly.gen(F2, 2, 0)
@@ -120,13 +102,6 @@ def test_distributive(pair, c):
     if c.dom != a.dom or c.arity != a.arity:
         c = MultiPoly.from_terms(a.dom, a.arity, [])
     assert (a + b) * c == a * c + b * c
-
-
-@given(polys(nonzero=True))
-def test_frobenius_roundtrip(f):
-    power = f ** f.dom.p
-    assert is_p_power_poly(power)
-    assert p_root_poly(power) == f
 
 
 @given(poly_pairs(nonzero=True))

@@ -1,19 +1,17 @@
 import pytest
 from hypothesis import given
 
-from ejump.errors import DivByZero, NotAPower
+from ejump.errors import DivByZero
 from ejump.ff_arith import (
     FractionField,
     MultiPoly,
     PrimeField,
     RatFunc,
-    is_p_power_ratfunc,
-    p_root_ratfunc,
     poly_gcd,
     render_ratfunc,
 )
 
-from .strategies import ratfunc_tuples, ratfuncs
+from .strategies import ratfunc_tuples
 
 K2 = FractionField(2, ("t",))
 
@@ -36,24 +34,6 @@ class TestNormalization:
             RatFunc(MultiPoly.from_int(PrimeField(2), 1, 1), MultiPoly.zero(PrimeField(2), 1))
 
 
-class TestPPowerExamples:
-    def test_t_is_not_a_square(self):
-        assert not is_p_power_ratfunc(K2.gen(0))
-
-    def test_square_fraction(self):
-        t = K2.gen(0)
-        f = (t * t) / ((t + K2.one) * (t + K2.one))
-        assert is_p_power_ratfunc(f)
-        assert p_root_ratfunc(f) == t / (t + K2.one)
-
-    def test_one(self):
-        assert p_root_ratfunc(K2.one) == K2.one
-
-    def test_not_a_power_raises(self):
-        with pytest.raises(NotAPower):
-            p_root_ratfunc(K2.gen(0))
-
-
 def test_render():
     t = K2.gen(0)
     assert render_ratfunc(t / (t + K2.one), ("t",)) == "t/(t + 1)"
@@ -72,9 +52,3 @@ def test_field_laws(triple):
     assert (f + g) + h == f + (g + h)
     assert f * (g + h) == f * g + f * h
     assert f + g == g + f
-
-
-@given(ratfuncs(nonzero=True))
-def test_frobenius_roundtrip(f):
-    p = f.num.dom.p
-    assert p_root_ratfunc(f**p) == f
