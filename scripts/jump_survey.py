@@ -7,11 +7,15 @@ Useful for eyeballing how often jumps occur and how tight the bounds are.
 """
 
 import argparse
+import os
 import random
+import sys
 from collections import Counter
 
-from ejump import localring
-from ejump.instances import random_bound_instance
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from ejump import localring  # noqa: E402
+from ejump.instances import random_bound_instance  # noqa: E402
 
 
 def main() -> None:

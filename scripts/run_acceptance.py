@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Run every acceptance criterion and print one pass/fail line per criterion."""
 
+import os
 import sys
 
-from ejump.acceptance import run_all
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from ejump.acceptance import run_all  # noqa: E402
 
 
 def main() -> int:

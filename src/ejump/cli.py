@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -131,29 +132,31 @@ def _parse_tower_element(K: FieldTower, text: str, line: int) -> TowerElement:
 
 
 def _parse_minpoly(K: FieldTower, gen_name: str, text: str, line: int) -> tuple:
-    """Monic minimal polynomial text -> low-order coefficient vectors in K.
+    """Monic minimal polynomial text -> low-order coefficients c_0..c_{m-1} in K.
 
     The text is read as an element of K(gen) with gen transcendental, the last
     variable of T there.  Without division no denominator involves gen, so
-    the coefficients in K are the numerator terms grouped by degree in gen.
+    the coefficients in K are the numerators split by degree in gen.
     """
     Kx = tower_extend(K, transcendental_layer(gen_name))
     value = parse_expression(text, _tower_context(Kx), Kx.from_int, div=None, line=line)
     nt = len(K.t_names)
+
+    def drop_gen(f: MultiPoly) -> MultiPoly:
+        return MultiPoly(f.dom, nt, {x[:nt]: a for x, a in f.terms.items()})
+
     coeffs: dict = {}
     for e, c in value.payload.items():
-        den = MultiPoly(c.den.dom, nt, {x[:nt]: a for x, a in c.den.terms.items()})
-        by_degree: dict = {}
-        for x, a in c.num.terms.items():
-            by_degree.setdefault(x[nt], {})[x[:nt]] = a
-        for k, terms in by_degree.items():
-            coeffs.setdefault(k, {})[e] = RatFunc(MultiPoly(den.dom, nt, terms), den)
+        den = drop_gen(c.den)
+        for k, a in enumerate(c.num.coefficients(nt)):
+            if not a.is_zero:
+                coeffs.setdefault(k, {})[e] = RatFunc(drop_gen(a), den)
     degree = max(coeffs, default=0)
     if degree < 2:
         raise ValidationError(f"minimal polynomial must have degree >= 2 in {gen_name!r}", line)
     if not TowerElement(K, coeffs[degree]).is_one:
         raise ValidationError(f"minimal polynomial must be monic in {gen_name!r}", line)
-    return tuple(coeffs.get(k, {}) for k in range(degree))
+    return tuple(TowerElement(K, coeffs.get(k, {})) for k in range(degree))
 
 
 def _parse_roots_spec(session: Session, text: str, line: int) -> list:
@@ -237,7 +240,7 @@ def _parse_tower(session: Session, line: str, lineno: int) -> None:
     name = head_tokens[1]
     _check_fresh(session, name, lineno)
     rest = rest.strip()
-    segments = rest.split("adjoin")
+    segments = re.split(r"(?<!\S)adjoin(?!\S)", rest)
     ref = segments[0].strip()
     if ref == "base":
         K = FieldTower(base)

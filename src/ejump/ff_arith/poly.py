@@ -283,6 +283,13 @@ class MultiPoly:
             return -1
         return max(e[var] for e in self.terms)
 
+    def coefficients(self, var: int) -> list:
+        """Coefficients of var^0 .. var^deg, lowest first, each free of var; [] for zero."""
+        out = [{} for _ in range(self.degree_in(var) + 1)]
+        for exp, c in self.terms.items():
+            out[exp[var]][exp[:var] + (0,) + exp[var + 1 :]] = c
+        return [MultiPoly(self.dom, self.arity, terms) for terms in out]
+
     def support_vars(self) -> set:
         used = set()
         for e in self.terms:

@@ -30,7 +30,9 @@ elimination is `FlatAlgebra.rank`, all work on these vectors.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import InternalInvariantViolation, ZeroDivisorDetected
 from .ff_arith import FractionField, MultiPoly, RatFunc, poly_lcm
@@ -233,13 +235,7 @@ class FlatAlgebra:
             rhs = self.field.one if gamma == one_exp else self.field.zero
             if not solver.add_equation(coeffs, rhs):
                 return None
-        out = {}
-        for e, c in zip(basis, solver.solution()):
-            if not c.is_zero:
-                out[e] = c
-        if not self.eq(self.mul(u, out), self.one()):
-            return None
-        return out
+        return {e: c for e, c in zip(basis, solver.solution()) if not c.is_zero}
 
     def rank(self, rows: list) -> int:
         """Rank of a matrix of vectors by fraction-free Gaussian elimination.
@@ -274,12 +270,18 @@ class FlatAlgebra:
 
 
 class LinearSolver:
-    """Incremental reduced row echelon form over a fraction field."""
+    """Incremental row echelon form over a fraction field, back-substituted once.
+
+    Stored rows are sorted by pivot column, start at their pivot, which is one,
+    and never change.  An incoming row reduced against them in pivot order is
+    the element of its coset that is zero in every pivot column, so the pivots,
+    the rank and the consistency verdict are those of a fully reduced form.
+    """
 
     def __init__(self, scalar_field: FractionField, ncols: int):
         self.field = scalar_field
         self.ncols = ncols
-        self.rows: list = []  # (pivot_col, coeffs, rhs), kept fully reduced
+        self.rows: list = []  # (pivot_col, coeffs, rhs), sorted by pivot_col
 
     @property
     def rank(self) -> int:
@@ -292,29 +294,24 @@ class LinearSolver:
             c = coeffs[pivot_col]
             if c.is_zero:
                 continue
-            coeffs = [a - c * b for a, b in zip(coeffs, row)]
+            # the row is zero left of its pivot
+            tail = zip(coeffs[pivot_col:], row[pivot_col:])
+            coeffs[pivot_col:] = [a if b.is_zero else a - c * b for a, b in tail]
             rhs = rhs - c * row_rhs
         pivot = next((i for i, c in enumerate(coeffs) if not c.is_zero), None)
         if pivot is None:
             return rhs.is_zero
         inv = coeffs[pivot].inv()
-        coeffs = [c * inv for c in coeffs]
-        rhs = rhs * inv
-        updated = []
-        for pivot_col, row, row_rhs in self.rows:
-            c = row[pivot]
-            if not c.is_zero:
-                row = [a - c * b for a, b in zip(row, coeffs)]
-                row_rhs = row_rhs - c * rhs
-            updated.append((pivot_col, row, row_rhs))
-        self.rows = updated
-        self.rows.append((pivot, coeffs, rhs))
+        bisect.insort(self.rows, (pivot, [c * inv for c in coeffs], rhs * inv), key=lambda r: r[0])
         return True
 
     def solution(self) -> list:
-        """A solution with free variables set to zero."""
+        """A solution with free variables set to zero, by back-substitution."""
         out = [self.field.zero] * self.ncols
-        for pivot_col, _, rhs in self.rows:
+        for pivot_col, row, rhs in reversed(self.rows):
+            for j in range(pivot_col + 1, self.ncols):
+                if not (row[j].is_zero or out[j].is_zero):
+                    rhs = rhs - row[j] * out[j]
             out[pivot_col] = rhs
         return out
 
@@ -389,20 +386,10 @@ def p_power_root(algebra: FlatAlgebra, target: dict, r: int):
         rhs = target.get(gamma, field.zero)
         if all(c.is_zero for c in entries) and rhs.is_zero:
             continue
-        den = None
-        for c in entries + [rhs]:
-            if c.is_zero:
-                continue
-            den = c.den if den is None else poly_lcm(den, c.den)
-        scale = _frobenius_scalar(RatFunc.from_poly(den), q) if den is not None else None
-        cleared = []
-        for c in entries + [rhs]:
-            if scale is not None:
-                c = c * scale
-            if not c.is_polynomial:
-                raise InternalInvariantViolation("denominator clearing failed")
-            cleared.append(c)
-        splits = [frobenius_split(c, q, nvars) for c in cleared]
+        den = reduce(poly_lcm, (c.den for c in entries + [rhs] if not c.is_zero))
+        # den^q is a multiple of every denominator of the row, so each product is a polynomial
+        scale = _frobenius_scalar(RatFunc.from_poly(den), q)
+        splits = [frobenius_split(c * scale, q, nvars) for c in entries + [rhs]]
         mus = sorted({mu for s in splits for mu in s})
         for mu in mus:
             row = [s.get(mu, field.zero) for s in splits[:-1]]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import NotAPowerViolation
 from .ff_arith import IdealPresentation, MultiPoly, RatFunc, poly_from_text
-from .localring import ClosedPoint
+from .localring import ClosedPoint, adjoin_generator
 from .tower import (
     BaseField,
     FieldTower,
@@ -220,13 +220,9 @@ def random_point(
     K = FieldTower(base)
     images: list = []
     forced_insep = rng.randrange(nvars) if (allow_insep and p <= 3) else None
-    degree_so_far = 1
-
-    def eval_poly(poly: MultiPoly) -> TowerElement:
-        values = images + [K.zero] * (nvars - len(images))
-        return poly.evaluate(values, lambda r: K.from_base(r))
 
     for i in range(nvars):
+        degree_so_far = K.degree_over_transcendental_base()
         choices = ["linear", "linear"]
         sep_degree = 3 if p == 3 else 2
         if i == 0 and degree_so_far * sep_degree <= degree_budget:
@@ -235,7 +231,7 @@ def random_point(
             choices.extend(["insep", "insep"])
             if i == forced_insep:
                 choices = ["insep"] * 6 + ["linear"]
-        made = False
+        x = MultiPoly.gen(field, nvars, i)
         for _ in range(8):
             kind = rng.choice(choices)
             if kind == "linear":
@@ -243,26 +239,16 @@ def random_point(
                 if i > 0 and rng.random() < 0.5:
                     j = rng.randrange(i)
                     expr = expr + MultiPoly.gen(field, nvars, j)
-                gens.append(MultiPoly.gen(field, nvars, i) - expr)
-                images.append(eval_poly(expr))
-                made = True
+                u = x - expr
                 break
             if kind == "sep":
                 t0 = MultiPoly.const(field, nvars, field.gen(0))
-                x = MultiPoly.gen(field, nvars, i)
                 if p == 2:
                     u = x * x + x + t0
                 elif p == 3:
                     u = x**3 - x - t0
                 else:
                     u = x * x - (t0 + MultiPoly.const(field, nvars, field.one))
-                gens.append(u)
-                d = u.degree_in(i)
-                coeffs = [eval_poly(_coeff_of(u, i, j)) for j in range(d)]
-                K = tower_extend(K, algebraic_layer(K, varnames[i], coeffs))
-                images = [K.embed(im) for im in images] + [K.gen(varnames[i])]
-                degree_so_far *= d
-                made = True
                 break
             # inseparable: x_i^p - a with a not a p-th power in the current residue field;
             # start from a variable-dependent candidate so constants never dominate
@@ -276,31 +262,16 @@ def random_point(
                 a_poly = MultiPoly.const(field, nvars, a) + MultiPoly.gen(field, nvars, rng.randrange(i))
             else:
                 a_poly = MultiPoly.const(field, nvars, a)
-            candidate = eval_poly(a_poly)
+            candidate = a_poly.evaluate(images, K.from_base)
             if candidate.is_zero or is_p_power_tower(candidate):
                 continue
-            u = MultiPoly.gen(field, nvars, i) ** p - a_poly
-            gens.append(u)
-            K = tower_extend(K, algebraic_layer(K, varnames[i], [-candidate] + [K.zero] * (p - 1)))
-            images = [K.embed(im) for im in images] + [K.gen(varnames[i])]
-            degree_so_far *= p
-            made = True
+            u = x**p - a_poly
             break
-        if not made:
-            u = MultiPoly.gen(field, nvars, i) - MultiPoly.const(field, nvars, field.one)
-            gens.append(u)
-            images.append(K.one)
+        else:
+            u = x - MultiPoly.const(field, nvars, field.one)
+        gens.append(u)
+        K, images = adjoin_generator(K, images, u, i, varnames[i])
     return ClosedPoint(base, varnames, tuple(gens))
-
-
-def _coeff_of(u: MultiPoly, var: int, degree: int) -> MultiPoly:
-    terms = {}
-    for exp, c in u.terms.items():
-        if exp[var] == degree:
-            e2 = list(exp)
-            e2[var] = 0
-            terms[tuple(e2)] = c
-    return MultiPoly(u.dom, u.arity, terms)
 
 
 def random_hypersurface_through(rng: random.Random, P: ClosedPoint, max_total_degree: int = 4):

@@ -114,10 +114,7 @@ def pdeg(K: FieldTower, ref: str = BASE) -> int:
     """Rank of the differential module: generators minus relation rank."""
     ref = _normalize_ref(ref)
     pres = jacobian_presentation(K, ref)
-    value = len(pres.generators) - pres.rank
-    if value < 0:
-        raise InternalInvariantViolation("negative p-degree")
-    return value
+    return len(pres.generators) - pres.rank
 
 
 def trdeg(K: FieldTower, ref: str = BASE) -> int:

@@ -2,10 +2,12 @@
 
 A closed point is a maximal ideal in triangular form: u1(x1), u2(x1,x2), ...
 each monic in its main variable.  The residue field is then an explicit
-tower, the classes of the triangular generators span the cotangent space,
-and base change by roots of the base variables stays over a rational base
-field via the reparametrization t_i = s_i^(p^e_i).  The nilpotent roots of
-that base change become polynomials through `FlatModel.flatten` of the
+tower, built one generator at a time by `adjoin_generator`: a linear u_i
+fixes the image of x_i, any other u_i adjoins the layer u_i = 0.  The
+classes of the triangular generators span the cotangent space, and base
+change by roots of the base variables stays over a rational base field via
+the reparametrization t_i = s_i^(p^e_i).  The nilpotent roots of that base
+change become polynomials through `FlatModel.flatten` of the
 residue field: a slot of kappa is read as its variable x_i and an adjoined
 slot as s_j.
 """
@@ -54,16 +56,13 @@ class ClosedPoint:
         for i, u in enumerate(self.generators):
             if u.arity != n or u.dom != field:
                 raise ArityMismatch("generator arity/field mismatch")
-            d = u.degree_in(i)
-            if d < 1:
+            coeffs = u.coefficients(i)
+            if len(coeffs) < 2:
                 raise ArityMismatch(f"generator {i} must involve its main variable")
             if any(exp[j] for exp in u.terms for j in range(i + 1, n)):
                 raise ArityMismatch(f"generator {i} uses a later variable")
-            lead = {exp: c for exp, c in u.terms.items() if exp[i] == d}
-            if len(lead) != 1:
-                raise ArityMismatch(f"generator {i} is not monic in its main variable")
-            (exp, c) = next(iter(lead.items()))
-            if any(e for j, e in enumerate(exp) if j != i) or not c.is_one:
+            lead = coeffs[-1]
+            if not (lead.is_constant and lead.constant_value().is_one):
                 raise ArityMismatch(f"generator {i} is not monic in its main variable")
 
     @property
@@ -84,33 +83,24 @@ class ClosedPoint:
 
     def residue_tower(self) -> tuple:
         """(kappa as a FieldTower over the base, images of x1..xn in kappa)."""
-        K = FieldTower(self.base)
-        images: list = []
-        n = len(self.varnames)
+        K, images = FieldTower(self.base), []
         for i, u in enumerate(self.generators):
-            d = u.degree_in(i)
-            coeffs_by_deg: dict = {}
-            for exp, c in u.terms.items():
-                k = exp[i]
-                e2 = list(exp)
-                e2[i] = 0
-                coeffs_by_deg.setdefault(k, {})[tuple(e2)] = c
-            values = images + [K.zero] * (n - len(images))
+            K, images = adjoin_generator(K, images, u, i, self.varnames[i])
+        return K, images
 
-            def ev(terms_dict):
-                poly = MultiPoly(self.field, n, dict(terms_dict))
-                return poly.evaluate(values, lambda r: K.from_base(r))
 
-            if d == 1:
-                low = {k: v for k, v in coeffs_by_deg.items() if k == 0}
-                image = -ev(low.get(0, {}))
-                images.append(image)
-            else:
-                minpoly = [ev(coeffs_by_deg.get(j, {})) for j in range(d)]
-                K = tower_extend(K, algebraic_layer(K, self.varnames[i], minpoly))
-                images = [K.embed(im) for im in images]
-                images.append(K.gen(self.varnames[i]))
-        return K, [K.embed(im) for im in images]
+def adjoin_generator(K: FieldTower, images: list, u: MultiPoly, i: int, name: str) -> tuple:
+    """Extend (K, images of x1..x_(i-1) in K) by a triangular generator u, monic in x_i.
+
+    The coefficients of u in x_i are evaluated at the earlier images.  A linear
+    u fixes the image of x_i in K; any other u adjoins the layer u = 0, named
+    `name`, and the earlier images are embedded into it.
+    """
+    coeffs = [c.evaluate(images, K.from_base) for c in u.coefficients(i)[:-1]]
+    if len(coeffs) == 1:
+        return K, images + [-coeffs[0]]
+    K = tower_extend(K, algebraic_layer(K, name, coeffs))
+    return K, [K.embed(im) for im in images] + [K.gen(name)]
 
 
 @dataclass(frozen=True)

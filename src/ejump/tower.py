@@ -31,7 +31,7 @@ from .errors import (
     NotAPowerViolation,
     ZeroDivisorDetected,
 )
-from .ff_arith import FractionField, MultiPoly, RatFunc, divexact, poly_lcm, render_ratfunc
+from .ff_arith import FractionField, RatFunc, divexact, poly_lcm, render_ratfunc
 
 TRANSCENDENTAL = "transcendental"
 ALGEBRAIC = "algebraic"
@@ -374,12 +374,12 @@ def _fraction(K: FieldTower, vec: dict, level: int) -> tuple:
     common = reduce(poly_lcm, (c.den for c in vec.values()))
 
     def by_degree(polys: dict) -> list:
-        out = []
+        out = [{} for _ in range(1 + max(f.degree_in(var) for f in polys.values()))]
         for e, f in polys.items():
-            for x, a in f.terms.items():
-                out.extend({} for _ in range(x[var] + 1 - len(out)))
-                out[x[var]].setdefault(e, {})[x[:var] + (0,) + x[var + 1 :]] = a
-        return [{e: RatFunc.from_poly(MultiPoly(common.dom, common.arity, t)) for e, t in c.items()} for c in out]
+            for k, a in enumerate(f.coefficients(var)):
+                if not a.is_zero:
+                    out[k][e] = RatFunc.from_poly(a)
+        return out
 
     num = by_degree({e: c.num * divexact(common, c.den) for e, c in vec.items()})
     den = by_degree({(0,) * alg.nslots: common})
@@ -466,13 +466,7 @@ def transcendental_layer(name: str) -> Layer:
 
 def algebraic_layer(K: FieldTower, name: str, coeffs) -> Layer:
     """Monic minimal polynomial given by low-order coefficients c_0..c_{m-1} in K."""
-    payloads = []
-    for c in coeffs:
-        if isinstance(c, TowerElement):
-            payloads.append(K.embed(c).payload if c.tower != K else c.payload)
-        else:
-            payloads.append(c)
-    return Layer(kind=ALGEBRAIC, name=name, coeffs=tuple(payloads))
+    return Layer(kind=ALGEBRAIC, name=name, coeffs=tuple(K.embed(c).payload for c in coeffs))
 
 
 def inseparable_root_layer(K: FieldTower, name: str, radicand: TowerElement, exponent: int) -> Layer:

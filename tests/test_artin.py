@@ -130,6 +130,8 @@ class TestOrderIndependence:
         assert s1.edim == s2.edim
         assert s1.residue_degree == s2.residue_degree
         assert sorted(s1.order_exponents) == sorted(s2.order_exponents)
+        for s in (s1, s2):
+            assert s.residue_degree * K.p ** sum(s.order_exponents) == s.total_extension_degree
 
     @pytest.mark.parametrize("seed", ORDER_SENSITIVE_SEEDS)
     def test_every_order_matches_differential_rank(self, seed):

@@ -77,6 +77,15 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse_session("base p=6 vars t\n")
 
+    def test_generator_name_containing_adjoin(self):
+        K = parse_session("base p=2 vars t\ntower K : base adjoin adjoint trans\n").towers["K"]
+        assert K.describe() == "F2(t) adjoin adjoint trans"
+
+    def test_base_variable_containing_adjoin_in_a_radicand(self):
+        text = "base p=2 vars tadjoin\ntower K : base adjoin y trans adjoin u root tadjoin + y exp 1\n"
+        K = parse_session(text).towers["K"]
+        assert K.gen("u") ** 2 == K.base_var("tadjoin") + K.gen("y")
+
 
 class TestMinimalPolynomial:
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ejump.ff_arith import FractionField, RatFunc
-from ejump.flat import FlatAlgebra, FlatLayer, flat_model, frobenius_split, p_power_root
+from ejump.flat import FlatAlgebra, FlatLayer, LinearSolver, flat_model, frobenius_split, p_power_root
 from ejump.tower import BaseField, FieldTower, adjoin_p_root
 
 from .strategies import primes, ratfuncs, tower_elements, towers
@@ -89,6 +89,42 @@ class TestFlatAlgebra:
         model = flat_model(K)
         x = (K.gen("u") + K.one) / (K.base_var("t") + K.from_int(2))
         assert model.unflatten(model.flatten(x)) == x
+
+
+def dot(field, u, v):
+    return sum((a * b for a, b in zip(u, v)), field.zero)
+
+
+def field_vector(c):
+    return {} if c.is_zero else {(): c}
+
+
+@st.composite
+def consistent_systems(draw):
+    """(field, A, b) over F_p(t) with A x0 = b for a drawn x0, at most 4 by 4."""
+    p = draw(primes)
+    field = FractionField(p, ("t",))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = ratfuncs(p=p, arity=1)
+    A = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    x0 = [draw(entries) for _ in range(ncols)]
+    return field, A, [dot(field, row, x0) for row in A]
+
+
+class TestLinearSolver:
+    @given(consistent_systems(), st.lists(st.integers(0, 4), min_size=4, max_size=4))
+    def test_consistent_system(self, system, weights):
+        field, A, b = system
+        solver = LinearSolver(field, len(A[0]))
+        assert all(solver.add_equation(row, rhs) for row, rhs in zip(A, b))
+        x = solver.solution()
+        assert all(dot(field, row, x) == rhs for row, rhs in zip(A, b))
+        # a separate, fraction-free elimination
+        assert solver.rank == FlatAlgebra(field, []).rank([[field_vector(c) for c in row] for row in A])
+        # a combination of the rows whose right-hand side is off by one
+        lam = [field.from_int(w) for w in weights]
+        combo = [dot(field, lam, column) for column in zip(*A)]
+        assert not solver.add_equation(combo, dot(field, lam, b) + field.one)
 
 
 class TestFrobeniusSplit:

@@ -18,6 +18,7 @@ from ejump.instances import (
     cusp_char2,
     cusp_char3,
     random_bound_instance,
+    random_point,
     random_separable_point_instance,
 )
 from ejump.localring import ClosedPoint, base_change_point, edim_at_point
@@ -60,6 +61,26 @@ class TestClosedPoint:
         y_img, x_img = images
         assert y_img.is_zero
         assert x_img * x_img == kappa.base_var("t")
+
+    def test_random_points_vanish_at_their_images(self):
+        # seeds 0-11 draw linear, separable and inseparable generators
+        kinds = set()
+        for seed in range(12):
+            p, d, nvars = (2, 3, 5)[seed % 3], 1 + seed % 2, 1 + seed % 3
+            base = BaseField(p, ("t",) if d == 1 else ("t1", "t2"))
+            P = random_point(random.Random(seed), base, nvars)
+            kappa, images = P.residue_tower()
+            assert kappa.degree_over_transcendental_base() == P.residue_degree()
+            for i, u in enumerate(P.generators):
+                assert u.evaluate(images, kappa.from_base).is_zero
+                coeffs = u.coefficients(i)
+                if len(coeffs) == 2:
+                    kinds.add("linear")
+                elif len(coeffs) == p + 1 and all(c.is_zero for c in coeffs[1:-1]):
+                    kinds.add("inseparable")
+                else:
+                    kinds.add("separable")
+        assert kinds == {"linear", "separable", "inseparable"}
 
 
 class TestEdimExamples:

@@ -104,6 +104,19 @@ def test_distributive(pair, c):
     assert (a + b) * c == a * c + b * c
 
 
+@given(polys(), st.integers(0, 1))
+def test_coefficients_reassemble(f, var):
+    var = min(var, f.arity - 1)
+    x = MultiPoly.gen(f.dom, f.arity, var)
+    coeffs = f.coefficients(var)
+    total = MultiPoly.zero(f.dom, f.arity)
+    for j, c in enumerate(coeffs):
+        assert c.degree_in(var) <= 0
+        total = total + c * x**j
+    assert total == f
+    assert not coeffs or not coeffs[-1].is_zero
+
+
 @given(poly_pairs(nonzero=True))
 def test_gcd_divides_both(pair):
     a, b = pair
