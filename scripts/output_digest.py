@@ -8,7 +8,9 @@ Families:
 - tail-reports: the jump reports of the pinned `tail` points;
 - fields: the seed-1 `fields` integers and the rendered p-th roots;
 - towers: `describe()` of every `fields` and `sessions` pool tower;
-- acceptance: the pass flag and detail string of every acceptance criterion.
+- acceptance: the pass flag and detail string of every acceptance criterion;
+- bound-reports: the jump reports of `random_bound_instance` seeds 0-59, with
+  all-ones exponents and, when d = 2, also (1, 0) and (0, 2).
 
 The benchmark's workload module supplies the inputs and is only imported.
 """
@@ -16,6 +18,7 @@ The benchmark's workload module supplies the inputs and is only imported.
 import hashlib
 import json
 import os
+import random
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -27,6 +30,7 @@ import workloads  # noqa: E402
 
 from ejump import artin, cli, kaehler, localring  # noqa: E402
 from ejump.acceptance import run_all  # noqa: E402
+from ejump.instances import random_bound_instance  # noqa: E402
 from ejump.tower import p_root_tower  # noqa: E402
 
 
@@ -68,12 +72,22 @@ def _acceptance() -> list:
     return [(r.number, r.passed, r.detail) for r in run_all(echo=None)]
 
 
+def _bound_reports() -> list:
+    out = []
+    for seed in range(60):
+        I, P, exponents = random_bound_instance(random.Random(seed))
+        for e in [exponents] + ([(1, 0), (0, 2)] if P.base.d == 2 else []):
+            out.append((seed, e, localring.ejump_at_point(I, P, e).to_dict()))
+    return out
+
+
 FAMILIES = (
     ("sessions-json", _sessions_json),
     ("tail-reports", _tail_reports),
     ("fields", _fields),
     ("towers", _towers),
     ("acceptance", _acceptance),
+    ("bound-reports", _bound_reports),
 )
 
 

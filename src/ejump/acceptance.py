@@ -80,7 +80,7 @@ def criterion_1_predicted_edim_identity() -> CriterionResult:
 
 
 def criterion_2_height_one_stability() -> CriterionResult:
-    """Jumps over exponents 1, 2, 3 agree: random field cases plus both cusp fixtures."""
+    """Jumps over exponents 1, 2, 3 agree: random field cases, and both cusps recounted by Buchberger."""
     start = time.time()
     rng = random.Random(BASE_SEED + 2)
     failures = []
@@ -106,8 +106,10 @@ def criterion_2_height_one_stability() -> CriterionResult:
         cases += 1
     for name, (I, P) in (("cusp2", cusp_char2()), ("cusp3", cusp_char3())):
         report = localring.verify_height_one_stability(I, P, "t", 3)
-        if not report.stable:
-            failures.append((name, report.jumps))
+        edims = [_buchberger_edim(*localring.base_change_point(I, P, {"t": n})) for n in range(4)]
+        recount = None if None in edims else tuple(e - edims[0] for e in edims[1:])
+        if not report.stable or recount != report.jumps:
+            failures.append((name, report.jumps, recount))
     detail = f"20 field cases + 2 cusp fixtures, {len(failures)} unstable"
     return CriterionResult(2, "height-one stability", not failures, detail, time.time() - start)
 
@@ -142,8 +144,7 @@ def criterion_3_bound_chain() -> CriterionResult:
         )
         if not chain_ok:
             failures.append((i, report.to_dict()))
-        new_I, new_P, _, _ = localring.base_change_point(I, P, exponents)
-        recount = (_buchberger_edim(I, P), _buchberger_edim(new_I, new_P))
+        recount = (_buchberger_edim(I, P), _buchberger_edim(*localring.base_change_point(I, P, exponents)))
         if recount != (report.edim_before, report.edim_after):
             failures.append((i, "buchberger-edim", recount, report.to_dict()))
     detail = f"20 instances, {len(failures)} chain violations"

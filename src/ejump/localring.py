@@ -4,12 +4,12 @@ A closed point is a maximal ideal in triangular form: u1(x1), u2(x1,x2), ...
 each monic in its main variable.  The residue field is then an explicit
 tower, built one generator at a time by `adjoin_generator`: a linear u_i
 fixes the image of x_i, any other u_i adjoins the layer u_i = 0.  The
-classes of the triangular generators span the cotangent space, and base
-change by roots of the base variables stays over a rational base field via
-the reparametrization t_i = s_i^(p^e_i).  The nilpotent roots of that base
-change become polynomials through `FlatModel.flatten` of the
-residue field: a slot of kappa is read as its variable x_i and an adjoined
-slot as s_j.
+classes of the triangular generators span the cotangent space.  A jump
+report reads edim after base change off the Jacobian at P itself.  The
+second route, `base_change_point`, rewrites I and P over k' via t_i =
+s_i^(p^e_i); the walk's nilpotent roots become polynomials through
+`FlatModel.flatten` of the residue field, a slot of kappa read as its
+variable x_i and an adjoined slot as s_j.
 """
 
 from __future__ import annotations
@@ -193,13 +193,32 @@ def edim_at_point(I: IdealPresentation, P: ClosedPoint) -> int:
     edim = n - rank over kappa of the values q_i(P).
     """
     _check_compatible(I, P)
+    return _triangular_edim(I, P, *P.residue_tower())
+
+
+def _triangular_edim(I: IdealPresentation, P: ClosedPoint, kappa: FieldTower, images: list) -> int:
     quotients = [_triangular_quotients(g, P) for g in I.generators]
     with _not_prime_on_zero_divisor():
-        kappa, images = P.residue_tower()
         model = flat_model(kappa)
         rows = [[model.flatten(q.evaluate(images, kappa.from_base)) for q in qs] for qs in quotients]
-        rank = model.algebra.rank(rows)
-    return len(P.varnames) - rank
+        return len(P.varnames) - model.algebra.rank(rows)
+
+
+def _jacobian_edim(I: IdealPresentation, kappa: FieldTower, images: list, keep) -> int:
+    """n - rank over kappa of [dg/dt_j for j in keep | dg/dx_i] at the point, one row per g in I.
+
+    dg/dt_j differentiates the F_p(t) coefficients of g (see `ejump_at_point`).
+    """
+    n = len(I.varnames)
+    model = flat_model(kappa)
+    rows = [
+        [MultiPoly.from_terms(g.dom, n, ((e, c.derivative(j)) for e, c in g.terms.items())) for j in keep]
+        + [g.derivative(i) for i in range(n)]
+        for g in I.generators
+    ]
+    with _not_prime_on_zero_divisor():
+        values = [[model.flatten(f.evaluate(images, kappa.from_base)) for f in row] for row in rows]
+        return n - model.algebra.rank(values)
 
 
 def krull_dim(I: IdealPresentation) -> int:
@@ -246,17 +265,8 @@ def normalize_exponents(base: BaseField, exponents) -> tuple:
     return out
 
 
-def _reparametrized_field(base: BaseField, exponents: tuple, forbidden) -> BaseField:
-    return BaseField(base.p, _new_base_names(base, exponents, forbidden))
-
-
 def _subst_ratfunc(r: RatFunc, scales: tuple) -> RatFunc:
-    def remap(exp):
-        return tuple(e * s for e, s in zip(exp, scales))
-
-    num = r.num.map_exponents(remap) if not r.num.is_zero else r.num
-    den = r.den.map_exponents(remap)
-    return RatFunc(num, den)
+    return r.map_exponents(lambda exp: tuple(e * s for e, s in zip(exp, scales)))
 
 
 def _subst_poly(f: MultiPoly, scales: tuple, new_field: FractionField) -> MultiPoly:
@@ -272,19 +282,19 @@ def spec_from_exponents(base: BaseField, exponents: tuple) -> artin.InseparableE
 
 
 def base_change_point(I: IdealPresentation, P: ClosedPoint, exponents) -> tuple:
-    """Rewrite (I, P) over k' = k(t_i^(1/p^e_i)); returns (I', P', base', structure).
+    """Rewrite (I, P) over k' = k(t_i^(1/p^e_i)); returns (I', P').
 
-    `structure` is the walk's `artin.TruncatedStructure` of kappa (x)_k k', or
-    None when every exponent is 0 and nothing changes.
+    The second route to a jump report's edim after: P' is triangularized from
+    P and the walk's nilpotent roots by a lex Buchberger basis.
     """
     _check_compatible(I, P)
     base = P.base
     exponents = normalize_exponents(base, exponents)
     if all(e == 0 for e in exponents):
-        return I, P, base, None
+        return I, P
     p = base.p
     scales = tuple(p**e for e in exponents)
-    new_base = _reparametrized_field(base, exponents, forbidden=set(P.varnames))
+    new_base = BaseField(p, _new_base_names(base, exponents, set(P.varnames)))
     new_field = new_base.field
 
     new_I = IdealPresentation(
@@ -324,8 +334,7 @@ def base_change_point(I: IdealPresentation, P: ClosedPoint, exponents) -> tuple:
         zval = new_field.gen(entry_var[rec.entry_index]) ** rec.z_power
         new_P_gens.append(lift - MultiPoly.const(new_field, n, zval))
 
-    new_P = _triangularize(new_base, P.varnames, tuple(new_P_gens))
-    return new_I, new_P, new_base, structure
+    return new_I, _triangularize(new_base, P.varnames, tuple(new_P_gens))
 
 
 def _triangularize(base: BaseField, varnames: tuple, generators: tuple) -> ClosedPoint:
@@ -365,28 +374,27 @@ def _triangularize(base: BaseField, varnames: tuple, generators: tuple) -> Close
 def ejump_at_point(I: IdealPresentation, P: ClosedPoint, exponents) -> JumpReport:
     """Full before/after report with both proved bounds evaluated.
 
-    The lemma's bound edim(kappa (x)_k k') is the edim of the structure that
-    the base change of the point already computed.
+    F_p is perfect, so m/m^2 of O = (k[x]/I)_P embeds in Omega_{O/F_p} (x) kappa
+    with cokernel Omega_{kappa/F_p} of dimension d (Matsumura, Thm 25.2):
+    edim O = n - rank [dg/dt_j | dg/dx_i](P).  Over k', dt_j = 0 when e_j >= 1,
+    so edim after drops those columns, and the rank stays one over kappa.
+    k'/k is algebraic, so the Krull dimension is unchanged.  The lemma's
+    bound is the walk's edim of kappa (x)_k k'.
     """
     _check_compatible(I, P)
     base = P.base
     exponents = normalize_exponents(base, exponents)
     d = base.d
 
-    edim_before = edim_at_point(I, P)
-    dim_before = krull_dim(I)
-    ecodim_before = edim_before - dim_before
-
-    new_I, new_P, _, structure = base_change_point(I, P, exponents)
-    edim_after = edim_at_point(new_I, new_P)
-    dim_after = krull_dim(new_I)
-    ecodim_after = edim_after - dim_after
+    kappa, images = P.residue_tower()
+    edim_before = _triangular_edim(I, P, kappa, images)
+    dim = krull_dim(I)
+    ecodim_before = edim_before - dim
+    edim_after = _jacobian_edim(I, kappa, images, [j for j, e in enumerate(exponents) if e == 0])
+    ecodim_after = edim_after - dim
 
     with _not_prime_on_zero_divisor():
-        if structure is None:
-            kappa, bound_lemma = P.residue_tower()[0], 0
-        else:
-            kappa, bound_lemma = structure.base_tower, structure.edim
+        bound_lemma = artin.base_change_structure(kappa, spec_from_exponents(base, exponents)).edim
         bound_theorem = kaehler.pdeg(kappa, "base") - kaehler.trdeg(kappa, "base")
 
     ejump = edim_after - edim_before
@@ -437,22 +445,10 @@ def verify_height_one_stability(
 
 
 def classical_jacobian_edim(I: IdealPresentation, P: ClosedPoint) -> int:
-    """Jet-space count n - rank of the classical Jacobian at the point.
+    """Jet-space count n - rank [dg/dx_i](P): the edim after a p-th root of every base variable.
 
     Agrees with edim_at_point exactly at points with separable residue field;
     at inseparable points the naive Jacobian misses cotangent directions.
     """
     _check_compatible(I, P)
-    with _not_prime_on_zero_divisor():
-        kappa, images = P.residue_tower()
-        n = len(P.varnames)
-        model = flat_model(kappa)
-        rows = []
-        for g in I.generators:
-            row = []
-            for j in range(n):
-                dg = g.derivative(j)
-                row.append(model.flatten(dg.evaluate(images, lambda r: kappa.from_base(r))))
-            rows.append(row)
-        rank = model.algebra.rank(rows)
-    return n - rank
+    return _jacobian_edim(I, *P.residue_tower(), keep=())

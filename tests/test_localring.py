@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ejump import localring
@@ -132,13 +132,13 @@ class TestCotangentFromTriangularSet:
     def test_matches_buchberger_on_fixtures(self):
         for I, P in (cusp_char2(), cusp_char3(), three_variable_point()):
             assert edim_at_point(I, P) == _buchberger_edim(I, P)
-            new_I, new_P, _, _ = base_change_point(I, P, (1,))
+            new_I, new_P = base_change_point(I, P, (1,))
             assert edim_at_point(new_I, new_P) == _buchberger_edim(new_I, new_P)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_buchberger_on_random_points(self, seed):
         I, P, exponents = random_bound_instance(random.Random(seed))
-        new_I, new_P, _, _ = base_change_point(I, P, exponents)
+        new_I, new_P = base_change_point(I, P, exponents)
         assert edim_at_point(I, P) == _buchberger_edim(I, P)
         assert edim_at_point(new_I, new_P) == _buchberger_edim(new_I, new_P)
 
@@ -164,22 +164,21 @@ class TestCotangentFromTriangularSet:
 class TestBaseChangePoint:
     def test_cusp_height_one(self):
         I, P = cusp_char2()
-        nI, nP, nb, structure = base_change_point(I, P, {"t": 1})
-        assert nb.varnames == ("s",)
-        assert structure.edim == 1
+        nI, nP = base_change_point(I, P, {"t": 1})
+        assert nP.base.varnames == ("s",)
         assert [render_poly(g, nI.varnames) for g in nI.generators] == ["y^3 + x^2 + (s^2)"]
         assert [render_poly(g, nP.varnames) for g in nP.generators] == ["y", "x + s"]
 
     def test_cusp_exponent_two(self):
         I, P = cusp_char2()
-        nI, nP, _, _ = base_change_point(I, P, {"t": 2})
+        nI, nP = base_change_point(I, P, {"t": 2})
         assert [render_poly(g, nI.varnames) for g in nI.generators] == ["y^3 + x^2 + (s^4)"]
         assert [render_poly(g, nP.varnames) for g in nP.generators] == ["y", "x + (s^2)"]
 
     def test_identity_transform(self):
         I, P = cusp_char2()
-        nI, nP, nb, structure = base_change_point(I, P, {"t": 0})
-        assert nI is I and nP is P and nb == P.base and structure is None
+        nI, nP = base_change_point(I, P, {"t": 0})
+        assert nI is I and nP is P
 
     @pytest.mark.parametrize("case", ["cusp_char2", "cusp_char3"] + [f"bound-{seed}" for seed in range(8)])
     def test_one_lex_basis_and_no_quotient_dim(self, case, monkeypatch):
@@ -247,6 +246,49 @@ class TestJumpReports:
         assert report.bound_theorem == 0
         assert report.all_satisfied()
 
+    @pytest.mark.parametrize("fixture", [cusp_char2, cusp_char3])
+    def test_zero_exponent_changes_nothing(self, fixture):
+        I, P = fixture()
+        report = localring.ejump_at_point(I, P, {"t": 0})
+        assert report.ejump == 0
+        assert report.bound_lemma == 0
+
+    @pytest.mark.parametrize("exponents", [(1, 0), (0, 1), (2, 0), (1, 2)])
+    @pytest.mark.parametrize("seed", [4, 9, 11, 43, 49])
+    def test_kept_base_columns_match_buchberger(self, seed, exponents):
+        # d = 2 draws; a zero exponent keeps that t_j column of the Jacobian
+        I, P, _ = random_bound_instance(random.Random(seed))
+        assert P.base.d == 2
+        report = localring.ejump_at_point(I, P, exponents)
+        assert report.edim_after == _buchberger_edim(*base_change_point(I, P, exponents))
+
+    @pytest.mark.parametrize("case", ["cusp_char2", "cusp_char3"] + [f"bound-{seed}" for seed in range(8)])
+    def test_no_base_change_and_one_krull_dim(self, case, monkeypatch):
+        if case.startswith("cusp"):
+            I, P = {"cusp_char2": cusp_char2, "cusp_char3": cusp_char3}[case]()
+            exponents = (1,)
+        else:
+            I, P, exponents = random_bound_instance(random.Random(int(case.split("-")[1])))
+
+        def refuse(*args):
+            raise AssertionError("ejump_at_point rewrote the point over k'")
+
+        calls = {"quotient_dim": 0, "residue_tower": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(localring, "base_change_point", refuse)
+        monkeypatch.setattr(localring, "groebner_basis", refuse)
+        monkeypatch.setattr(localring, "quotient_dim", counted("quotient_dim", localring.quotient_dim))
+        monkeypatch.setattr(ClosedPoint, "residue_tower", counted("residue_tower", ClosedPoint.residue_tower))
+        localring.ejump_at_point(I, P, exponents)
+        assert calls == {"quotient_dim": 1, "residue_tower": 1}
+
     def test_strict_mode_passes_on_sound_input(self):
         I, P = cusp_char2()
         report = localring.verify_bounds(I, P, {"t": 1}, strict=True)
@@ -297,6 +339,7 @@ class TestJetOracle:
 
 
 @given(st.integers(0, 2**32 - 1))
+@example(396713)  # F_3(t1,t2), x y z: its base-changed point once took over 60 s to triangularize
 def test_bound_chain_random(seed):
     rng = random.Random(seed)
     I, P, exponents = random_bound_instance(rng)
