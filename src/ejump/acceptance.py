@@ -132,7 +132,8 @@ def _bound_instances():
 def criterion_3_bound_chain() -> CriterionResult:
     """0 <= ejump <= edim(kappa tensor k') <= pdeg - trdeg at sampled points.
 
-    Both embedding dimensions of each report are also recounted by Buchberger.
+    Both embedding dimensions of each report are also recounted by Buchberger,
+    the lemma's bound by the base-change walk and the theorem's by Kaehler ranks.
     """
     start = time.time()
     failures = []
@@ -147,6 +148,15 @@ def criterion_3_bound_chain() -> CriterionResult:
         recount = (_buchberger_edim(I, P), _buchberger_edim(*localring.base_change_point(I, P, exponents)))
         if recount != (report.edim_before, report.edim_after):
             failures.append((i, "buchberger-edim", recount, report.to_dict()))
+        kappa, _ = P.residue_tower()
+        entries = [(P.field.gen(j), e) for j, e in enumerate(exponents) if e >= 1]
+        spec = artin.InseparableExtensionSpec.of(entries)
+        bounds = (
+            artin.base_change_structure(kappa, spec).edim,
+            kaehler.pdeg(kappa, "base") - kaehler.trdeg(kappa, "base"),
+        )
+        if bounds != (report.bound_lemma, report.bound_theorem):
+            failures.append((i, "walk-and-kaehler-bounds", bounds, report.to_dict()))
     detail = f"20 instances, {len(failures)} chain violations"
     return CriterionResult(3, "bound chain", not failures, detail, time.time() - start)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import NotAPowerViolation
+from .errors import NotAPowerViolation, NotPrime
 from .ff_arith import IdealPresentation, MultiPoly, RatFunc, poly_from_text
 from .localring import ClosedPoint, adjoin_generator
 from .tower import (
@@ -240,8 +240,7 @@ def random_point(
                     j = rng.randrange(i)
                     expr = expr + MultiPoly.gen(field, nvars, j)
                 u = x - expr
-                break
-            if kind == "sep":
+            elif kind == "sep":
                 t0 = MultiPoly.const(field, nvars, field.gen(0))
                 if p == 2:
                     u = x * x + x + t0
@@ -249,28 +248,30 @@ def random_point(
                     u = x**3 - x - t0
                 else:
                     u = x * x - (t0 + MultiPoly.const(field, nvars, field.one))
-                break
-            # inseparable: x_i^p - a with a not a p-th power in the current residue field;
-            # start from a variable-dependent candidate so constants never dominate
-            tvar = field.gen(rng.randrange(base.d))
-            a = tvar * random_base_element(rng, base, allow_fraction=False)
-            if rng.random() < 0.5:
-                a = a + random_base_element(rng, base, allow_fraction=False)
-            if a.is_zero:
-                continue
-            if rng.random() < 0.3 and i > 0:
-                a_poly = MultiPoly.const(field, nvars, a) + MultiPoly.gen(field, nvars, rng.randrange(i))
             else:
-                a_poly = MultiPoly.const(field, nvars, a)
-            candidate = a_poly.evaluate(images, K.from_base)
-            if candidate.is_zero or is_p_power_tower(candidate):
+                # inseparable: x_i^p - a, redrawn while a is a p-th power in the current
+                # residue field; start from a variable-dependent candidate so constants
+                # never dominate
+                tvar = field.gen(rng.randrange(base.d))
+                a = tvar * random_base_element(rng, base, allow_fraction=False)
+                if rng.random() < 0.5:
+                    a = a + random_base_element(rng, base, allow_fraction=False)
+                if a.is_zero:
+                    continue
+                if rng.random() < 0.3 and i > 0:
+                    a_poly = MultiPoly.const(field, nvars, a) + MultiPoly.gen(field, nvars, rng.randrange(i))
+                else:
+                    a_poly = MultiPoly.const(field, nvars, a)
+                u = x**p - a_poly
+            try:
+                K, images = adjoin_generator(K, images, u, i, varnames[i])
+            except NotPrime:
                 continue
-            u = x**p - a_poly
             break
         else:
             u = x - MultiPoly.const(field, nvars, field.one)
+            K, images = adjoin_generator(K, images, u, i, varnames[i])
         gens.append(u)
-        K, images = adjoin_generator(K, images, u, i, varnames[i])
     return ClosedPoint(base, varnames, tuple(gens))
 
 

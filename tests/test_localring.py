@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ejump import localring
+from ejump import artin, kaehler, localring
 from ejump.acceptance import _buchberger_edim
 from ejump.errors import (
     ArityMismatch,
@@ -128,6 +128,14 @@ def three_variable_point():
     return I, P
 
 
+def report_case(case):
+    """(I, P, exponents) for a case named "cusp_char2", "cusp_char3" or "bound-<seed>"."""
+    if case.startswith("cusp"):
+        I, P = {"cusp_char2": cusp_char2, "cusp_char3": cusp_char3}[case]()
+        return I, P, (1,)
+    return random_bound_instance(random.Random(int(case.split("-")[1])))
+
+
 class TestCotangentFromTriangularSet:
     def test_matches_buchberger_on_fixtures(self):
         for I, P in (cusp_char2(), cusp_char3(), three_variable_point()):
@@ -182,11 +190,7 @@ class TestBaseChangePoint:
 
     @pytest.mark.parametrize("case", ["cusp_char2", "cusp_char3"] + [f"bound-{seed}" for seed in range(8)])
     def test_one_lex_basis_and_no_quotient_dim(self, case, monkeypatch):
-        if case.startswith("cusp"):
-            I, P = {"cusp_char2": cusp_char2, "cusp_char3": cusp_char3}[case]()
-            exponents = (1,)
-        else:
-            I, P, exponents = random_bound_instance(random.Random(int(case.split("-")[1])))
+        I, P, exponents = report_case(case)
         calls = {"groebner_basis": 0, "quotient_dim": 0}
         for name in calls:
 
@@ -264,11 +268,7 @@ class TestJumpReports:
 
     @pytest.mark.parametrize("case", ["cusp_char2", "cusp_char3"] + [f"bound-{seed}" for seed in range(8)])
     def test_no_base_change_and_one_krull_dim(self, case, monkeypatch):
-        if case.startswith("cusp"):
-            I, P = {"cusp_char2": cusp_char2, "cusp_char3": cusp_char3}[case]()
-            exponents = (1,)
-        else:
-            I, P, exponents = random_bound_instance(random.Random(int(case.split("-")[1])))
+        I, P, exponents = report_case(case)
 
         def refuse(*args):
             raise AssertionError("ejump_at_point rewrote the point over k'")
@@ -284,10 +284,48 @@ class TestJumpReports:
 
         monkeypatch.setattr(localring, "base_change_point", refuse)
         monkeypatch.setattr(localring, "groebner_basis", refuse)
+        monkeypatch.setattr(artin, "base_change_structure", refuse)
+        monkeypatch.setattr(kaehler, "pdeg", refuse)
         monkeypatch.setattr(localring, "quotient_dim", counted("quotient_dim", localring.quotient_dim))
         monkeypatch.setattr(ClosedPoint, "residue_tower", counted("residue_tower", ClosedPoint.residue_tower))
         localring.ejump_at_point(I, P, exponents)
         assert calls == {"quotient_dim": 1, "residue_tower": 1}
+
+    @pytest.mark.parametrize("case", ["cusp_char2", "cusp_char3"] + [f"bound-{seed}" for seed in range(60)])
+    def test_bounds_match_walk_and_kaehler(self, case):
+        I, P, exponents = report_case(case)
+        kappa, _ = P.residue_tower()
+        theorem = kaehler.pdeg(kappa, "base") - kaehler.trdeg(kappa, "base")
+        for exps in [exponents] + ([(1, 0), (0, 2)] if P.base.d == 2 else []):
+            entries = [(P.field.gen(j), e) for j, e in enumerate(exps) if e >= 1]
+            spec = artin.InseparableExtensionSpec.of(entries)
+            report = localring.ejump_at_point(I, P, exps)
+            assert report.bound_lemma == artin.base_change_structure(kappa, spec).edim, exps
+            assert report.bound_theorem == theorem, exps
+
+    @pytest.mark.parametrize(
+        "gens, ideal",
+        [
+            (("x^2 + t^2",), ("x*(x^2 + t^2)",)),  # x^2 + t^2 = (x + t)^2
+            (("x^2 + t", "y^2 + t"), ("(x + y)^2",)),  # y^2 + t = (y + x)^2 once x^2 = t
+        ],
+    )
+    @pytest.mark.parametrize("exponent", [0, 1, 2])
+    def test_p_th_power_generator_raises_not_prime(self, gens, ideal, exponent):
+        base = BaseField(2, ("t",))
+        vs = ("x", "y")[: len(gens)]
+        P = ClosedPoint(base, vs, tuple(poly_from_text(base.field, vs, g) for g in gens))
+        I = IdealPresentation(base.field, vs, tuple(poly_from_text(base.field, vs, g) for g in ideal))
+        with pytest.raises(NotPrime):
+            localring.ejump_at_point(I, P, (exponent,))
+
+    def test_zero_divisor_in_p_th_power_check_raises_not_prime(self):
+        # x^2 - t^2 is reducible, so checking y^3 + x + t for a cube meets a zero divisor
+        base = BaseField(3, ("t",))
+        vs = ("x", "y")
+        gens = tuple(poly_from_text(base.field, vs, g) for g in ("x^2 - t^2", "y^3 + x + t"))
+        with pytest.raises(NotPrime):
+            ClosedPoint(base, vs, gens).residue_tower()
 
     def test_strict_mode_passes_on_sound_input(self):
         I, P = cusp_char2()
