@@ -10,7 +10,9 @@ Families:
 - towers: `describe()` of every `fields` and `sessions` pool tower;
 - acceptance: the pass flag and detail string of every acceptance criterion;
 - bound-reports: the jump reports of `random_bound_instance` seeds 0-59, with
-  all-ones exponents and, when d = 2, also (1, 0) and (0, 2).
+  all-ones exponents and, when d = 2, also (1, 0) and (0, 2);
+- gcds: `poly_gcd` of the pinned F_5 pairs of `tail` and of planted-factor
+  pairs (a*c, b*c) over F_2, F_3 and F_5 in 2-3 variables, seeds 0-299.
 
 The benchmark's workload module supplies the inputs and is only imported.
 """
@@ -30,6 +32,7 @@ import workloads  # noqa: E402
 
 from ejump import artin, cli, kaehler, localring  # noqa: E402
 from ejump.acceptance import run_all  # noqa: E402
+from ejump.ff_arith import MultiPoly, PrimeField, poly_gcd  # noqa: E402
 from ejump.instances import random_bound_instance  # noqa: E402
 from ejump.tower import p_root_tower  # noqa: E402
 
@@ -81,6 +84,26 @@ def _bound_reports() -> list:
     return out
 
 
+def _random_poly(rng: random.Random, p: int, arity: int) -> MultiPoly:
+    items = [(tuple(rng.randint(0, 3) for _ in range(arity)), rng.randint(1, p - 1)) for _ in range(rng.randint(1, 4))]
+    f = MultiPoly.from_terms(PrimeField(p), arity, items)
+    return MultiPoly.from_int(f.dom, arity, 1) if f.is_zero else f
+
+
+def _gcds() -> list:
+    def terms(f: MultiPoly) -> list:
+        return sorted(f.terms.items())
+
+    pinned = sorted((c for c in workloads.tail_setup(1) if not c.is_point), key=lambda c: c.name)
+    out = [(c.name, terms(poly_gcd(*c.args))) for c in pinned]
+    for seed in range(300):
+        rng = random.Random(seed)
+        p, arity = rng.choice((2, 3, 5)), rng.choice((2, 3))
+        a, b, c = (_random_poly(rng, p, arity) for _ in range(3))
+        out.append((seed, p, arity, terms(poly_gcd(a * c, b * c))))
+    return out
+
+
 FAMILIES = (
     ("sessions-json", _sessions_json),
     ("tail-reports", _tail_reports),
@@ -88,6 +111,7 @@ FAMILIES = (
     ("towers", _towers),
     ("acceptance", _acceptance),
     ("bound-reports", _bound_reports),
+    ("gcds", _gcds),
 )
 
 

@@ -15,11 +15,14 @@ variable, and an element is a list of coefficients one level down.  Contents
 come from recursive gcds and primitive parts from exact division; the gcd of
 primitive parts comes from a primitive pseudo-remainder sequence.  Before that
 sequence, an evaluation test proves the common case of a gcd free of the main
-variable: at a point of F_p where the leading coefficients of both inputs do
-not vanish, g = gcd(a, b) keeps its degree (lc(g) divides lc(a)) and divides
-both images, so an image gcd of 1 proves that g is the gcd of all
-coefficients.  At most p points are tried; when none proves it (over F_2 a
-leading coefficient t^2 + t vanishes everywhere) the sequence runs.
+variable.  g = gcd(a, b) is also the gcd over F_{p^2}, and at a point of
+F_{p^2} where the leading coefficients of both inputs do not vanish, g keeps
+its degree (lc(g) divides lc(a)) and divides both images; so an image gcd of
+1 proves that g is the gcd of all coefficients.  The first such point among
+at most p pseudo-random ones decides, and any other outcome runs the
+sequence, as for x and x + t^(p^2) - t, which have the image x at every point
+of F_{p^2}.  Points of F_p alone are not enough: x0^p = x0 there, so x and
+x + t^p - t already have the image x at every one of them.
 """
 
 from __future__ import annotations
@@ -503,37 +506,105 @@ def _ugcd(a: list, b: list, p: int) -> list:
     return a
 
 
-def _eval(x, k: int, pt: tuple, p: int) -> int:
-    """x at level k with its variables set to pt[0..k-1]."""
-    if k == 0:
-        return x
-    v = pt[k - 1]
-    acc = 0
-    for c in reversed(x):
-        acc = (acc * v + (c if k == 1 else _eval(c, k - 1, pt, p))) % p
-    return acc
+# -- the coprimality test: evaluation at points of F_{p^2} ---------------------
+#
+# An element a0 + a1*z of F_{p^2} = F_p[z]/(z^2 - c1*z - c0) is the int
+# a0 + a1*p, so an element of F_p is its own code.  z is primitive: every
+# nonzero code is exp[i] for one i in [0, p^2 - 1), and log inverts exp.
+# Products go through the tables; sums are digit-wise.
 
 
 @functools.cache
-def _points(p: int, n: int) -> tuple:
-    """p distinct points of F_p^n in a fixed pseudo-random order."""
+def _gf(p: int) -> tuple:
+    """(c0, c1, exp, log) for the first primitive z^2 - c1*z - c0 over F_p.
+
+    exp lists z^0 .. z^(m-1), m = p^2 - 1, twice over, so exp[i + j] needs no
+    reduction for i, j < m; log[exp[i]] = i, and log[0] is unused.
+    """
+    q = p * p
+    for c0 in range(1, p):
+        for c1 in range(p):
+            exp, x = [], 1
+            while True:  # z is a unit (c0 != 0), so its powers return to 1
+                exp.append(x)
+                x = x // p * c0 % p + (x % p + x // p * c1) % p * p
+                if x == 1:
+                    break
+            if len(exp) == q - 1:
+                log = [0] * q
+                for i, x in enumerate(exp):
+                    log[x] = i
+                return c0, c1, exp + exp, log
+    raise InternalInvariantViolation(f"no primitive quadratic over F_{p}")
+
+
+@functools.cache
+def _ext_points(p: int, n: int) -> tuple:
+    """p pseudo-random points of F_{p^2}^n, as codes, from a fixed seed."""
     rng = random.Random(0)
-    return tuple(tuple(i // p**j % p for j in range(n)) for i in rng.sample(range(p**n), p))
+    return tuple(tuple(rng.randrange(p * p) for _ in range(n)) for _ in range(p))
+
+
+def _ext_eval(x, k: int, pt: tuple, p: int, exp: list, log: list) -> int:
+    """The code of x at level k with its variables set to pt[0..k-1]."""
+    if not x:
+        return 0
+    v = pt[k - 1]
+    if not v:
+        return x[0] if k == 1 else _ext_eval(x[0], k - 1, pt, p, exp, log)
+    lv, q = log[v], p * p
+    acc = 0
+    for c in reversed(x):
+        if acc:
+            acc = exp[log[acc] + lv]
+        if c:
+            if k > 1:
+                c = _ext_eval(c, k - 1, pt, p, exp, log)
+            s = acc + c - (p if acc % p + c % p >= p else 0)
+            acc = s - q if s >= q else s
+    return acc
+
+
+def _ext_coprime(a: list, b: list, p: int, exp: list, log: list) -> bool:
+    """Whether two univariate elements of positive degree over F_{p^2} are coprime (Euclid)."""
+    m = len(exp) // 2
+    minus = m // 2 if p > 2 else 0  # log(-1)
+    q = p * p
+    while len(b) > 1:
+        r = list(a)
+        db = len(b) - 1
+        lb = minus - log[b[-1]] + m
+        blogs = [(j, log[y]) for j, y in enumerate(b[:db]) if y]
+        for i in range(len(r) - 1, db - 1, -1):
+            c = r[i]
+            if c:
+                lf = (log[c] + lb) % m  # -c / lc(b)
+                s = i - db
+                for j, ly in blogs:
+                    y, t = r[s + j], exp[lf + ly]
+                    u = y + t - (p if y % p + t % p >= p else 0)
+                    r[s + j] = u - q if u >= q else u
+        del r[db:]
+        a, b = b, _trim(r)
+    return len(b) == 1
 
 
 def _coprime_in_main(a: list, b: list, k: int, p: int) -> bool:
     """True when an evaluation proves that gcd(a, b) has degree 0 in the main variable.
 
-    At a point where lc(a) and lc(b) do not vanish, g = gcd(a, b) keeps its
-    degree, because lc(g) divides lc(a); and g(pt) divides both images.  So
-    an image gcd of 1 proves deg g = 0.
+    The gcd g over F_p is also the gcd over F_{p^2}.  At a point of F_{p^2}
+    where lc(a) and lc(b) do not vanish, g keeps its degree, because lc(g)
+    divides lc(a); and g(pt) divides both images.  So an image gcd of 1
+    proves deg g = 0.  The first such point decides.
     """
-    for pt in _points(p, k - 1):
-        if _eval(a[-1], k - 1, pt, p) and _eval(b[-1], k - 1, pt, p):
-            ia = [_eval(c, k - 1, pt, p) for c in a]
-            ib = [_eval(c, k - 1, pt, p) for c in b]
-            if len(_ugcd(ia, ib, p)) == 1:
-                return True
+    _, _, exp, log = _gf(p)
+    for pt in _ext_points(p, k - 1):
+        la = _ext_eval(a[-1], k - 1, pt, p, exp, log)
+        lb = la and _ext_eval(b[-1], k - 1, pt, p, exp, log)
+        if lb:
+            ia = [_ext_eval(c, k - 1, pt, p, exp, log) for c in a[:-1]] + [la]
+            ib = [_ext_eval(c, k - 1, pt, p, exp, log) for c in b[:-1]] + [lb]
+            return _ext_coprime(ia, ib, p, exp, log)
     return False
 
 

@@ -9,9 +9,9 @@ truncated algebras K[z]/(z^q - a) needed by the base-change oracle, since
 those are just extra reduction layers.
 
 Every q-th power with q = p^r is `FlatAlgebra.frobenius`: a coefficient
-c(T) goes to c(T^q) and a monomial to a product of cached generator powers,
-which is exact in any commutative F_p-algebra, reduced or not.  Square and
-multiply (`pow`) only builds those generator powers.
+c(T) goes to c(T^q) and a basis monomial to its q-th power, kept on the
+algebra per q, which is exact in any commutative F_p-algebra, reduced or
+not.  Square and multiply (`pow`) only builds gen^q, once per generator and q.
 
 On top of the flat algebra sits the p-th root solver: z^q = a is semilinear
 over k0, and splitting every scalar over the k0^q-basis of monomials T^mu
@@ -46,8 +46,8 @@ class FlatLayer:
     reduction: dict  # coordinates of gen^degree over earlier slots
 
 
-def _top_slot(u: dict) -> int:
-    """The highest slot with a nonzero exponent in u, or -1 for a scalar."""
+def _top_slot(u) -> int:
+    """The highest slot with a nonzero exponent among u's exponents, or -1 for a scalar."""
     return max((slot for e in u for slot, k in enumerate(e) if k), default=-1)
 
 
@@ -58,6 +58,7 @@ class FlatAlgebra:
         self.field = scalar_field
         self.layers = list(layers)
         self._gen_power_cache: dict = {}
+        self._frobenius_tables: dict = {}  # q -> {basis exponent: its q-th power}
 
     @property
     def dimension(self) -> int:
@@ -172,20 +173,33 @@ class FlatAlgebra:
             self._gen_power_cache[key] = self.pow(self.gen(slot), n)
         return self._gen_power_cache[key]
 
+    def monomial_frobenius(self, e: tuple, q: int) -> dict:
+        """The q-th power of the basis monomial e, cached per q.
+
+        It is the power of e with one less in its top slot s times gen(s)^q,
+        so gen^(q k) comes from the cached gen^(q (k - 1)).
+        """
+        table = self._frobenius_tables.setdefault(q, {(0,) * self.nslots: self.one()})
+        chain = []
+        while e not in table:
+            chain.append(e)
+            s = _top_slot([e])
+            e = e[:s] + (e[s] - 1,) + e[s + 1 :]
+        value = table[e]
+        for e in reversed(chain):
+            value = table[e] = self.mul(value, self.gen_power(_top_slot([e]), q))
+        return value
+
     def frobenius(self, u: dict, q: int) -> dict:
         """u^q for q a power of p, term by term.
 
         Frobenius is additive and fixes F_p in any commutative F_p-algebra, so
-        a coefficient c(T) goes to c(T^q) and a monomial to the product of the
-        cached generator powers gen^(q k).
+        a coefficient c(T) goes to c(T^q) and a monomial to its cached q-th power.
         """
         out = self.zero()
         for e, c in u.items():
-            term = self.scalar(_frobenius_scalar(c, q))
-            for s, k in enumerate(e):
-                if k:
-                    term = self.mul(term, self.gen_power(s, q * k))
-            out = self.add(out, term)
+            cq = _frobenius_scalar(c, q)
+            out = self.add(out, {f: cq * v for f, v in self.monomial_frobenius(e, q).items()})
         return out
 
     def _frobenius_below(self, u: dict, slot: int):
@@ -378,7 +392,7 @@ def p_power_root(algebra: FlatAlgebra, target: dict, r: int):
     basis = algebra.basis()
     nvars = len(field.varnames)
     n = len(basis)
-    powers = {e: algebra.frobenius({e: field.one}, q) for e in basis}
+    powers = {e: algebra.monomial_frobenius(e, q) for e in basis}
 
     solver = LinearSolver(field, n)
     for gamma in basis:

@@ -221,3 +221,25 @@ class TestPPowerRoot:
         root = p_power_root(alg, target, r)
         assert root == x.payload
         assert sizes and max(sizes) == 1
+
+    def test_keeps_the_monomial_table(self, monkeypatch):
+        # each generator is raised to the q-th power once, and a second root reuses every monomial's power
+        k = FieldTower(BaseField(3, ("t1", "t2")))
+        K = adjoin_p_root(k, k.base_var("t1"), 1, name="u1")
+        K = adjoin_p_root(K, K.base_var("t2"), 1, name="u2")
+        x = K.gen("u1") * K.gen("u2") + K.gen("u2") + K.base_var("t1")
+        target = (x**3).payload
+        alg = FlatAlgebra(K.algebra.field, K.algebra.layers)  # empty caches
+        calls = {"pow": 0, "mul": 0}
+        for name in calls:
+
+            def spy(self, *args, _name=name, _real=getattr(FlatAlgebra, name)):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(FlatAlgebra, name, spy)
+        assert p_power_root(alg, target, 1) == x.payload
+        assert calls["pow"] == 2
+        calls.update(pow=0, mul=0)
+        assert p_power_root(alg, target, 1) == x.payload
+        assert calls == {"pow": 0, "mul": 0}

@@ -1,8 +1,9 @@
 import json
 import os
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ejump.errors import BothZero
@@ -187,36 +188,112 @@ def test_gcd_matches_sympy(pair):
     assert poly_gcd(a, b) == _sympy_gcd(sympy, a, b)
 
 
+@pytest.fixture
+def prem_calls(monkeypatch):
+    calls = []
+    original = poly._prem
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poly, "_prem", counting)
+    return calls
+
+
 class TestGcdFallback:
     """Inputs where no evaluation point proves coprimality, so the remainder sequence runs."""
 
-    @pytest.fixture
-    def prem_calls(self, monkeypatch):
-        calls = []
-        original = poly._prem
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(poly, "_prem", counting)
-        return calls
-
     def test_leading_coefficient_vanishes_everywhere(self, prem_calls):
-        # over F_2, t^2 + t vanishes at both points, so no point is usable
+        # over F_2, t^4 + t vanishes at all four points of F_4, so no point is usable
         t = MultiPoly.gen(F2, 2, 0)
         x = MultiPoly.gen(F2, 2, 1)
         one = MultiPoly.from_int(F2, 2, 1)
-        g = (t * t + t) * x + one
+        g = (t**4 + t) * x + one
         a, b = g * (x + t), g * (x + t + one)
         assert poly_gcd(a, b) == g
         assert prem_calls
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_images_share_a_factor_everywhere(self, prem_calls, p):
-        # x + t^p - t specializes to x at every point of F_p, yet gcd(x, x + t^p - t) = 1
+        # x + t^(p^2) - t specializes to x at every point of F_{p^2}, yet gcd(x, x + t^(p^2) - t) = 1
+        dom = PrimeField(p)
+        t = MultiPoly.gen(dom, 2, 0)
+        x = MultiPoly.gen(dom, 2, 1)
+        assert poly_gcd(x, x + t ** (p * p) - t) == MultiPoly.from_int(dom, 2, 1)
+        assert prem_calls
+
+
+class TestCoprimeProof:
+    """The evaluation test at points of F_{p^2} proves coprimality without the remainder sequence."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_frobenius_fixed_factor_is_proved_coprime(self, prem_calls, p):
+        # x + t^p - t specializes to x at every point of F_p, but not at every point of F_{p^2}
         dom = PrimeField(p)
         t = MultiPoly.gen(dom, 2, 0)
         x = MultiPoly.gen(dom, 2, 1)
         assert poly_gcd(x, x + t**p - t) == MultiPoly.from_int(dom, 2, 1)
-        assert prem_calls
+        assert not prem_calls
+
+    @pytest.mark.parametrize("spec", _f5_pairs())
+    def test_f5_pair_is_proved_coprime(self, prem_calls, spec):
+        dom = PrimeField(spec["p"])
+        a, b = (MultiPoly.from_terms(dom, spec["arity"], spec[k]) for k in ("a", "b"))
+        assert poly_gcd(a, b) == MultiPoly.from_int(dom, spec["arity"], 1)
+        assert not prem_calls
+
+    def test_many_variables_over_the_largest_prime(self, prem_calls):
+        # 12 variables over F_101: (101^2)^11 points exceed what a range can index
+        dom = PrimeField(poly.MAX_PRIME)
+        xs = [MultiPoly.gen(dom, 12, i) for i in range(12)]
+        one = MultiPoly.from_int(dom, 12, 1)
+        a = b = xs[-1]
+        for x in xs[:-1]:
+            a, b = a * x + one, b + x
+        assert poly_gcd(a, b * xs[0] + one) == one
+        assert not prem_calls
+
+    @pytest.mark.parametrize("p", [p for p in range(2, poly.MAX_PRIME + 1) if poly.is_prime(p)])
+    def test_tables_multiply_modulo_the_quadratic(self, p):
+        c0, c1, exp, log = poly._gf(p)
+        q = p * p
+        m = q - 1
+        assert sorted(exp[:m]) == list(range(1, q)) and exp[m:] == exp[:m]
+        assert all(log[exp[i]] == i for i in range(m))
+
+        def mul(a, b):
+            # (a0 + a1 z)(b0 + b1 z) with z^2 = c1 z + c0
+            a0, a1, b0, b1 = a % p, a // p, b % p, b // p
+            sq = a1 * b1
+            return (a0 * b0 + sq * c0) % p + (a0 * b1 + a1 * b0 + sq * c1) % p * p
+
+        z = p  # the code of z
+        assert all(exp[i + 1] == mul(exp[i], z) for i in range(m))
+        rng = random.Random(p)
+        for _ in range(500):
+            a, b = rng.randrange(1, q), rng.randrange(1, q)
+            assert exp[log[a] + log[b]] == mul(a, b)
+
+
+@st.composite
+def planted_main_factors(draw):
+    """(p, a*c, b*c) with c of positive degree in the last variable, the main one."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    arity = draw(st.integers(2, 3))
+    a, b, c0, c1 = (draw(polys(p=p, arity=arity, max_degree=2, max_terms=3, nonzero=True)) for _ in range(4))
+    t, x = (MultiPoly.gen(PrimeField(p), arity, i) for i in (0, arity - 1))
+    if draw(st.booleans()):
+        c1 = c1 * (t ** (p * p) - t)  # lc(c) then vanishes at every point of F_{p^2}
+    c = c1 * x + c0
+    assume(c.degree_in(arity - 1) > 0)
+    return p, a * c, b * c
+
+
+@given(planted_main_factors())
+def test_planted_main_factor_is_never_proved_coprime(case):
+    p, a, b = case
+    support = sorted(a.support_vars() | b.support_vars())
+    assume(len(support) > 1)
+    assert support[-1] == a.arity - 1
+    assert not poly._coprime_in_main(poly._dense(a, support), poly._dense(b, support), len(support), p)
