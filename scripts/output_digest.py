@@ -12,7 +12,11 @@ Families:
 - bound-reports: the jump reports of `random_bound_instance` seeds 0-59, with
   all-ones exponents and, when d = 2, also (1, 0) and (0, 2);
 - gcds: `poly_gcd` of the pinned F_5 pairs of `tail` and of planted-factor
-  pairs (a*c, b*c) over F_2, F_3 and F_5 in 2-3 variables, seeds 0-299.
+  pairs (a*c, b*c) over F_2, F_3 and F_5 in 2-3 variables, seeds 0-299;
+- ratfuncs: the rendered a*b, a+b, a-b and a/b of fractions over F_2, F_3
+  and F_5 in 1-3 variables, seeds 0-299, where each operand is a
+  polynomial, has a constant denominator before normalization, or is general,
+  and shares a planted factor with the other one half of the time.
 
 The benchmark's workload module supplies the inputs and is only imported.
 """
@@ -32,7 +36,7 @@ import workloads  # noqa: E402
 
 from ejump import artin, cli, kaehler, localring  # noqa: E402
 from ejump.acceptance import run_all  # noqa: E402
-from ejump.ff_arith import MultiPoly, PrimeField, poly_gcd  # noqa: E402
+from ejump.ff_arith import MultiPoly, PrimeField, RatFunc, poly_gcd, render_ratfunc  # noqa: E402
 from ejump.instances import random_bound_instance  # noqa: E402
 from ejump.tower import p_root_tower  # noqa: E402
 
@@ -104,6 +108,34 @@ def _gcds() -> list:
     return out
 
 
+def _random_fraction(rng: random.Random, p: int, arity: int, factor: MultiPoly) -> RatFunc:
+    num = _random_poly(rng, p, arity) * factor
+    kind = rng.choice(("polynomial", "constant", "general"))
+    if kind == "polynomial":
+        den = MultiPoly.from_int(num.dom, arity, 1)
+    elif kind == "constant":
+        den = MultiPoly.from_int(num.dom, arity, rng.randint(1, p - 1))
+    else:
+        den = _random_poly(rng, p, arity)
+        if rng.random() < 0.5:
+            den = den * factor
+    return RatFunc(num, den)
+
+
+def _ratfuncs() -> list:
+    names = ("t1", "t2", "t3")
+    out = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        p, arity = rng.choice((2, 3, 5)), rng.choice((1, 2, 3))
+        one = MultiPoly.from_int(PrimeField(p), arity, 1)
+        factor = _random_poly(rng, p, arity) if rng.random() < 0.5 else one
+        a, b = (_random_fraction(rng, p, arity, factor) for _ in range(2))
+        values = [a * b, a + b, a - b] + ([] if b.is_zero else [a / b])
+        out.append((seed, p, arity, [render_ratfunc(v, names[:arity]) for v in values]))
+    return out
+
+
 FAMILIES = (
     ("sessions-json", _sessions_json),
     ("tail-reports", _tail_reports),
@@ -112,6 +144,7 @@ FAMILIES = (
     ("acceptance", _acceptance),
     ("bound-reports", _bound_reports),
     ("gcds", _gcds),
+    ("ratfuncs", _ratfuncs),
 )
 
 

@@ -49,6 +49,10 @@ class NotPrime(ExactAlgebraError):
     """The point's triangular presentation does not define a prime (maximal) ideal."""
 
 
+class NotEquidimensional(ExactAlgebraError):
+    """The ideal's Krull dimension exceeds edim at the point, so it is not equidimensional there."""
+
+
 class TriangularizationFailed(ExactAlgebraError):
     """Generators of a maximal ideal could not be re-triangularized."""
 

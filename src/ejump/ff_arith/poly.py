@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import random
+from operator import add
 from typing import Callable, Iterable
 
 from ..errors import ArityMismatch, BothZero, DivByZero, InternalInvariantViolation
@@ -205,6 +206,8 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         dom = self.dom
+        if dom.is_prime_field:
+            return MultiPoly(dom, self.arity, _fp_add(self.terms, other.terms, 1, dom.p))
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             s = dom.add(terms.get(exp, dom.zero), c)
@@ -219,15 +222,27 @@ class MultiPoly:
         return MultiPoly(dom, self.arity, {e: dom.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
+        if self.dom.is_prime_field:
+            self._check(other)
+            return MultiPoly(self.dom, self.arity, _fp_add(self.terms, other.terms, -1, self.dom.p))
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         dom = self.dom
         terms: dict = {}
+        if dom.is_prime_field:
+            # sum the int products exactly, then reduce each output term once
+            get = terms.get
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    exp = tuple(map(add, e1, e2))
+                    terms[exp] = get(exp, 0) + c1 * c2
+            p = dom.p
+            return MultiPoly(dom, self.arity, {e: r for e, c in terms.items() if (r := c % p)})
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 c = dom.mul(c1, c2)
                 s = dom.add(terms.get(exp, dom.zero), c)
                 if dom.is_zero(s):
@@ -268,6 +283,9 @@ class MultiPoly:
 
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple:
         """(exponent, coefficient) of the leading term; raises on zero."""
+        if len(self.terms) == 1:
+            (term,) = self.terms.items()
+            return term
         if not self.terms:
             raise DivByZero("leading term of the zero polynomial")
         exp = max(self.terms, key=order.key)
@@ -355,6 +373,18 @@ class MultiPoly:
             mon = "*".join(f"v{i}^{e}" for i, e in enumerate(exp) if e)
             bits.append(f"{self.dom.coeff_str(c)}{'*' + mon if mon else ''}")
         return "MultiPoly(" + " + ".join(bits) + ")"
+
+
+def _fp_add(a: dict, b: dict, sign: int, p: int) -> dict:
+    """The terms of a + sign*b over F_p, for sign = 1 or -1."""
+    terms = dict(a)
+    for exp, c in b.items():
+        s = (terms.get(exp, 0) + sign * c) % p
+        if s:
+            terms[exp] = s
+        else:
+            terms.pop(exp, None)
+    return terms
 
 
 def _exp_divides(small: tuple, big: tuple) -> bool:

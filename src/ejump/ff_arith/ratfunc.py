@@ -3,9 +3,26 @@
 A RatFunc is a fraction of MultiPoly values in canonical form: the
 denominator is nonzero and monic under the fixed (grevlex) order, and
 numerator and denominator are coprime.
+
+The constructor normalizes any fraction by a gcd.  Arithmetic avoids it
+where the result is canonical already:
+
+- a product of polynomials, whose canonical denominators are 1, and a
+  sum or difference over an equal constant denominator;
+- a general product a/b * c/d, which divides out gcd(a, d) and gcd(c, b)
+  instead of the gcd of a*c and b*d (Henrici, J. ACM 3, 1956): the reduced
+  factors are pairwise coprime, and quotients of monic polynomials stay
+  monic, so the product is canonical;
+- a sum over different denominators, which takes gcd(b, d) and then only
+  the gcd of the new numerator with it (Henrici's sum, see `_sum`);
+- a power, since powers of coprime polynomials stay coprime;
+- an inverse, which only rescales b/a to make a monic; a quotient is a
+  product with an inverse.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from ..errors import ArityMismatch, DivByZero
 from .poly import (
@@ -31,18 +48,7 @@ class RatFunc:
             self.num = num
             self.den = MultiPoly.const(num.dom, num.arity, num.dom.one)
             return
-        if not den.is_constant and not num.is_constant:
-            g = poly_gcd(num, den)
-            if not g.is_constant:
-                num = divexact(num, g)
-                den = divexact(den, g)
-        _, lc = den.leading(GREVLEX)
-        if not den.dom.is_one(lc):
-            c = den.dom.inv(lc)
-            num = num.scale(c)
-            den = den.scale(c)
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_den(*_cancel(num, den))
 
     # -- constructors --------------------------------------------------
 
@@ -83,15 +89,11 @@ class RatFunc:
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _sum(self, other, add)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
-        if self.den == other.den:
-            return RatFunc(self.num - other.num, self.den)
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _sum(self, other, sub)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den, _normalized=True)
@@ -100,23 +102,27 @@ class RatFunc:
         self._check(other)
         if self.is_zero or other.is_zero:
             return RatFunc.from_poly(MultiPoly.zero(self.num.dom, self.num.arity))
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if self.is_polynomial and other.is_polynomial:
+            return RatFunc(self.num * other.num, self.den, _normalized=True)
+        num1, den2 = _cancel(self.num, other.den)
+        num2, den1 = _cancel(other.num, self.den)
+        return RatFunc(num1 * num2, den1 * den2, _normalized=True)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
         if other.is_zero:
             raise DivByZero("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inv()
 
     def inv(self) -> "RatFunc":
         if self.is_zero:
             raise DivByZero("inverse of zero")
-        return RatFunc(self.den, self.num)
+        return RatFunc(*_monic_den(self.den, self.num), _normalized=True)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inv() ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+        return RatFunc(self.num**n, self.den**n, _normalized=True)
 
     def derivative(self, var: int) -> "RatFunc":
         return RatFunc(
@@ -135,6 +141,42 @@ class RatFunc:
         if self.is_polynomial and self.den.constant_value() == 1:
             return f"RatFunc({self.num!r})"
         return f"RatFunc({self.num!r} / {self.den!r})"
+
+
+def _sum(x: RatFunc, y: RatFunc, op) -> RatFunc:
+    """op(x, y) for op = operator.add or operator.sub, by Henrici's sum.
+
+    For x = a/b and y = c/d with g = gcd(b, d), t = op(a*(d/g), c*(b/g)) is
+    coprime to b/g and to d/g, so only h = gcd(t, g) cancels.  t is nonzero
+    when b != d, since canonical forms of x and -y then differ.
+    """
+    a, b, c, d = x.num, x.den, y.num, y.den
+    if b == d:
+        return RatFunc(op(a, c), b, _normalized=b.is_constant)
+    if b.is_constant or d.is_constant or (g := poly_gcd(b, d)).is_constant:
+        return RatFunc(op(a * d, c * b), b * d, _normalized=True)
+    b, d = divexact(b, g), divexact(d, g)
+    t, g = _cancel(op(a * d, c * b), g)
+    return RatFunc(t, b * d * g, _normalized=True)
+
+
+def _monic_den(num: MultiPoly, den: MultiPoly) -> tuple:
+    """num/den rescaled so that den is monic."""
+    _, lc = den.leading(GREVLEX)
+    if den.dom.is_one(lc):
+        return num, den
+    c = den.dom.inv(lc)
+    return num.scale(c), den.scale(c)
+
+
+def _cancel(a: MultiPoly, b: MultiPoly) -> tuple:
+    """(a/g, b/g) for g = gcd(a, b), both nonzero; b/g is monic when b is."""
+    if a.is_constant or b.is_constant:
+        return a, b
+    g = poly_gcd(a, b)
+    if g.is_constant:
+        return a, b
+    return divexact(a, g), divexact(b, g)
 
 
 class FractionField:

@@ -12,6 +12,8 @@ Every q-th power with q = p^r is `FlatAlgebra.frobenius`: a coefficient
 c(T) goes to c(T^q) and a basis monomial to its q-th power, kept on the
 algebra per q, which is exact in any commutative F_p-algebra, reduced or
 not.  Square and multiply (`pow`) only builds gen^q, once per generator and q.
+`TowerElement ** n` writes n = m * p^v, squares and multiplies for m, and
+takes the p^v-th power by `frobenius`, so x**p reuses the same table.
 
 On top of the flat algebra sits the p-th root solver: z^q = a is semilinear
 over k0, and splitting every scalar over the k0^q-basis of monomials T^mu
@@ -316,7 +318,9 @@ class LinearSolver:
         if pivot is None:
             return rhs.is_zero
         inv = coeffs[pivot].inv()
-        bisect.insort(self.rows, (pivot, [c * inv for c in coeffs], rhs * inv), key=lambda r: r[0])
+        row = [c if c.is_zero else c * inv for c in coeffs]
+        row[pivot] = self.field.one
+        bisect.insort(self.rows, (pivot, row, rhs * inv), key=lambda r: r[0])
         return True
 
     def solution(self) -> list:

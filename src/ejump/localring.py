@@ -21,8 +21,8 @@ from . import artin
 from .errors import (
     ArityMismatch,
     BoundViolated,
-    InternalInvariantViolation,
     NotContained,
+    NotEquidimensional,
     NotPrime,
     TriangularizationFailed,
     ZeroDivisorDetected,
@@ -235,12 +235,22 @@ def krull_dim(I: IdealPresentation) -> int:
     return quotient_dim(I)[0]
 
 
+def _ecodim(edim: int, dim: int) -> int:
+    """edim - dim, where dim is the global Krull dimension of I.
+
+    Equidimensionality at P is assumed: then dim O_P = dim.  Krull's bound
+    dim O_P <= edim makes dim > edim a proof that the assumption fails.
+    """
+    if dim > edim:
+        raise NotEquidimensional(
+            f"Krull dimension {dim} exceeds edim {edim}, so the ideal is not equidimensional at the point"
+        )
+    return edim - dim
+
+
 def ecodim_at_point(I: IdealPresentation, P: ClosedPoint) -> int:
     """edim minus the Krull dimension of the quotient (equidimensionality assumed)."""
-    value = edim_at_point(I, P) - krull_dim(I)
-    if value < 0:
-        raise InternalInvariantViolation("negative embedding codimension")
-    return value
+    return _ecodim(edim_at_point(I, P), krull_dim(I))
 
 
 # -- base change ------------------------------------------------------------
@@ -398,7 +408,7 @@ def ejump_at_point(I: IdealPresentation, P: ClosedPoint, exponents) -> JumpRepor
     kappa, images = P.residue_tower()
     edim_before = _triangular_edim(I, P, kappa, images)
     dim = krull_dim(I)
-    ecodim_before = edim_before - dim
+    ecodim_before = _ecodim(edim_before, dim)
     keep = [j for j, e in enumerate(exponents) if e == 0]
     edim_after = _jacobian_edim(I.generators, kappa, images, keep)
     ecodim_after = edim_after - dim

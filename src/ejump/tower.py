@@ -311,10 +311,16 @@ class TowerElement:
         return TowerElement(self.tower, _invert(self.tower, self.payload))
 
     def __pow__(self, n: int):
+        """x^n with n = m * p^v: square and multiply for m, then Frobenius for p^v."""
         K = self.tower
         if n < 0:
             return self.inv() ** (-n)
-        return TowerElement(K, K.algebra.pow(self.payload, n))
+        q = 1
+        while n and n % K.p == 0:
+            n //= K.p
+            q *= K.p
+        u = K.algebra.pow(self.payload, n)
+        return TowerElement(K, K.algebra.frobenius(u, q) if q > 1 else u)
 
     def render(self) -> str:
         return render_element(self.tower, self.payload, self.tower.height)

@@ -234,6 +234,24 @@ class TestMain:
         path.write_text("base p=2 vars t\nideal I vars x : x + 1\npoint P : x\ncmd edim I P\n")
         assert main(["--input", str(path)]) == 2
 
+    def test_exit_two_on_mixed_dimension(self, tmp_path, capsys):
+        # the plane x = 0 and the line y = z = 0; P lies on the line only
+        path = tmp_path / "mixed.txt"
+        path.write_text(
+            "base p=2 vars t\n"
+            "ideal I vars x,y,z : x*y, x*z\n"
+            "point P : x + 1, y, z\n"
+            "cmd edim I P\n"
+            "cmd ecodim I P\n"
+            "cmd ejump I P roots t:1\n"
+            "cmd verify-bounds I P roots t:1\n"
+            "cmd height-one I P var t max 2\n"
+        )
+        assert main(["--input", str(path), "--format", "json"]) == 2
+        edim, *refused = json.loads(capsys.readouterr().out)["reports"]
+        assert edim["status"] == "ok" and edim["result"]["value"] == 1
+        assert [r["error"]["type"] for r in refused] == ["NotEquidimensional"] * 4
+
     def test_strict_flag_passes_on_sound_input(self, tmp_path, capsys):
         path = tmp_path / "ok.txt"
         path.write_text(CUSP_SESSION)

@@ -127,6 +127,26 @@ class TestLinearSolver:
         assert not solver.add_equation(combo, dot(field, lam, b) + field.one)
 
 
+    @given(consistent_systems())
+    def test_stored_rows_have_unit_pivots_and_keep_zeros(self, system):
+        field, A, b = system
+        solver = LinearSolver(field, len(A[0]))
+        for row, rhs in zip(A, b):
+            reduced = list(row)
+            for pivot_col, stored, _ in solver.rows:
+                c = reduced[pivot_col]
+                reduced = [a - c * s for a, s in zip(reduced, stored)]
+            rank = solver.rank
+            assert solver.add_equation(row, rhs)
+            if solver.rank == rank:
+                continue
+            pivot = next(i for i, c in enumerate(reduced) if not c.is_zero)
+            (stored,) = [r for col, r, _ in solver.rows if col == pivot]
+            assert stored[pivot] == field.one
+            assert [c.is_zero for c in stored] == [c.is_zero for c in reduced]
+            assert stored == [c / reduced[pivot] for c in reduced]
+
+
 class TestFrobeniusSplit:
     @given(ratfuncs(nonzero=True))
     def test_reassembles(self, f):

@@ -9,6 +9,7 @@ from ejump.acceptance import _buchberger_edim
 from ejump.errors import (
     ArityMismatch,
     NotContained,
+    NotEquidimensional,
     NotPrime,
     TriangularizationFailed,
     ZeroDivisorDetected,
@@ -326,6 +327,21 @@ class TestJumpReports:
         gens = tuple(poly_from_text(base.field, vs, g) for g in ("x^2 - t^2", "y^3 + x + t"))
         with pytest.raises(NotPrime):
             ClosedPoint(base, vs, gens).residue_tower()
+
+    def test_mixed_dimension_raises_not_equidimensional(self):
+        # a plane x = 0 and a line y = z = 0; P lies on the line only, where
+        # edim is 1 while the global Krull dimension is 2
+        base = BaseField(2, ("t",))
+        vs = ("x", "y", "z")
+        P = ClosedPoint(base, vs, tuple(poly_from_text(base.field, vs, g) for g in ("x + 1", "y", "z")))
+        I = IdealPresentation(base.field, vs, tuple(poly_from_text(base.field, vs, g) for g in ("x*y", "x*z")))
+        assert edim_at_point(I, P) == 1
+        with pytest.raises(NotEquidimensional):
+            localring.ecodim_at_point(I, P)
+        with pytest.raises(NotEquidimensional):
+            localring.ejump_at_point(I, P, (1,))
+        with pytest.raises(NotEquidimensional):
+            localring.verify_height_one_stability(I, P, "t", 2)
 
     def test_strict_mode_passes_on_sound_input(self):
         I, P = cusp_char2()

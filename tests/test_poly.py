@@ -1,4 +1,5 @@
 import json
+import operator
 import os
 import random
 
@@ -116,6 +117,27 @@ def test_coefficients_reassemble(f, var):
         total = total + c * x**j
     assert total == f
     assert not coeffs or not coeffs[-1].is_zero
+
+
+class GenericPrimeField:
+    """F_p through MultiPoly's generic coefficient loop: delegates to PrimeField."""
+
+    is_prime_field = False
+
+    def __init__(self, field: PrimeField):
+        self.field = field
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
+
+
+@given(poly_pairs())
+def test_prime_field_loops_match_the_generic_loop(pair):
+    a, b = pair
+    dom = GenericPrimeField(a.dom)
+    ga, gb = (MultiPoly(dom, f.arity, dict(f.terms)) for f in (a, b))
+    for op in (operator.add, operator.sub, operator.mul):
+        assert op(a, b).terms == op(ga, gb).terms
 
 
 @given(poly_pairs(nonzero=True))

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ejump.errors import DivByZero
 from ejump.ff_arith import (
@@ -11,7 +12,7 @@ from ejump.ff_arith import (
     render_ratfunc,
 )
 
-from .strategies import ratfunc_tuples
+from .strategies import polys, primes, ratfunc_tuples
 
 K2 = FractionField(2, ("t",))
 
@@ -28,6 +29,14 @@ class TestNormalization:
         z = RatFunc(MultiPoly.zero(PrimeField(2), 1), MultiPoly.gen(PrimeField(2), 1, 0))
         assert z.is_zero
         assert z.den == MultiPoly.from_int(PrimeField(2), 1, 1)
+
+    def test_sum_cancels_inside_the_common_denominator(self):
+        # over F_3, 1/(x(x+1)) + 1/(x(x+2)) = (2x + 3)/(x(x+1)(x+2)) = 2/((x+1)(x+2))
+        K3 = FractionField(3, ("x",))
+        x, one, two = K3.gen(0), K3.one, K3.from_int(2)
+        total = one / (x * (x + one)) + one / (x * (x + two))
+        assert total == two / ((x + one) * (x + two))
+        assert total.num == MultiPoly.from_int(PrimeField(3), 1, 2)
 
     def test_zero_denominator(self):
         with pytest.raises(DivByZero):
@@ -52,3 +61,41 @@ def test_field_laws(triple):
     assert (f + g) + h == f + (g + h)
     assert f * (g + h) == f * g + f * h
     assert f + g == g + f
+
+
+@st.composite
+def kernel_operands(draw):
+    """Two fractions over one F_p(t1..tn): each a polynomial, a fraction with a
+    constant denominator before normalization, or a general fraction, and
+    sharing a drawn factor in some numerators and denominators."""
+    p = draw(primes)
+    arity = draw(st.integers(1, 3))
+    degree = 2 if arity < 3 else 1
+    factor = draw(polys(p=p, arity=arity, max_degree=1, nonzero=True))
+
+    def operand():
+        num = draw(polys(p=p, arity=arity, max_degree=degree))
+        if draw(st.booleans()):
+            num = num * factor
+        kind = draw(st.sampled_from(("polynomial", "constant", "general")))
+        if kind == "polynomial":
+            den = MultiPoly.from_int(num.dom, arity, 1)
+        elif kind == "constant":
+            den = MultiPoly.from_int(num.dom, arity, draw(st.integers(1, p - 1)))
+        else:
+            den = draw(polys(p=p, arity=arity, max_degree=degree, nonzero=True))
+            if draw(st.booleans()):
+                den = den * factor
+        return RatFunc(num, den)
+
+    return operand(), operand()
+
+
+@given(kernel_operands())
+def test_arithmetic_matches_the_normalizing_constructor(pair):
+    f, g = pair
+    assert f * g == RatFunc(f.num * g.num, f.den * g.den)
+    assert f + g == RatFunc(f.num * g.den + g.num * f.den, f.den * g.den)
+    assert f - g == RatFunc(f.num * g.den - g.num * f.den, f.den * g.den)
+    if not g.is_zero:
+        assert f / g == RatFunc(f.num * g.den, f.den * g.num)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from ejump.errors import (
     ZeroDivisorDetected,
 )
 from ejump.flat import flat_model
+from ejump.instances import random_tower, random_tower_element
 from ejump.tower import (
     BaseField,
     FieldTower,
@@ -128,6 +131,33 @@ class TestPRoots:
         K2 = adjoin_p_root(K, K.gen("u"), 1, name="v")
         assert flat_model(K2).algebra.dimension == 4
         assert p_root_tower(K2.embed(K.gen("u"))) == K2.gen("v")
+
+
+class TestPower:
+    @pytest.mark.parametrize(
+        "p, seed",
+        [
+            (2, 0),  # separable a1, transcendental y1, inseparable g1^2 = t
+            (2, 5),  # g1^4 = t under a transcendental layer
+            (3, 0),  # separable a1^3 + 2*a1 + 2*t
+            (3, 5),  # g1^3 = 2*t^2 + 2 under a transcendental layer
+            (5, 4),  # g1^5 = 3*t/(t + 2)
+        ],
+    )
+    def test_matches_repeated_multiplication(self, p, seed):
+        K = random_tower(random.Random(seed), p, 1, max_layers=3, dim_budget=8).tower
+        rng = random.Random(seed)
+        x = random_tower_element(rng, K) + K.gen(K.layers[-1].name)
+        assert not x.is_zero
+        for n in (0, 1, p, p * p, 2 * p, p + 1):
+            expected = K.one
+            for _ in range(n):
+                expected = expected * x
+            assert x**n == expected, n
+        expected = K.one
+        for _ in range(p):
+            expected = expected / x
+        assert x ** (-p) == expected
 
 
 class TestInseparableRootInvariants:
