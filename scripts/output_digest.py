@@ -16,7 +16,11 @@ Families:
 - ratfuncs: the rendered a*b, a+b, a-b and a/b of fractions over F_2, F_3
   and F_5 in 1-3 variables, seeds 0-299, where each operand is a
   polynomial, has a constant denominator before normalization, or is general,
-  and shares a planted factor with the other one half of the time.
+  and shares a planted factor with the other one half of the time;
+- session-pairs: the CLI JSON of sessions that ask about several (ideal,
+  point) pairs with their commands interleaved, one of them not contained in
+  its point, and of each pair alone; then the seed-1 `sessions` cases with
+  `height-one I P ... max 4`.
 
 The benchmark's workload module supplies the inputs and is only imported.
 """
@@ -25,6 +29,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -41,13 +46,17 @@ from ejump.instances import random_bound_instance  # noqa: E402
 from ejump.tower import p_root_tower  # noqa: E402
 
 
+def _session_json(text: str) -> str:
+    session = cli.parse_session(text)
+    reports = [cli.run_command(session, cmd, cli.RunOptions()) for cmd in session.commands]
+    return cli.emit_session(reports, "json").decode()
+
+
 def _sessions_json() -> list:
     out = []
     for seed in (1, 2):
         for case in workloads.sessions_setup(seed):
-            session = cli.parse_session(case.text)
-            reports = [cli.run_command(session, cmd, cli.RunOptions()) for cmd in session.commands]
-            out.append(cli.emit_session(reports, "json").decode())
+            out.append(_session_json(case.text))
     return out
 
 
@@ -85,6 +94,38 @@ def _bound_reports() -> list:
         I, P, exponents = random_bound_instance(random.Random(seed))
         for e in [exponents] + ([(1, 0), (0, 2)] if P.base.d == 2 else []):
             out.append((seed, e, localring.ejump_at_point(I, P, e).to_dict()))
+    return out
+
+
+_PAIR_DECLARATIONS = {
+    "I": "ideal I vars x,y : (x - 1)*(x^2 + y^3 + t)",
+    "J": "ideal J vars x,y : x*(x - 1), (y^3 + t)*(y - t)",
+    "P": "point P vars x,y : x, y^3 + t",
+    "Q": "point Q vars x,y : x - 1, y - t",
+    "R": "point R vars x,y : x + 1, y",
+}
+_PAIR_COMMANDS = (
+    "cmd edim {0} {1}",
+    "cmd ejump {0} {1} roots t:1",
+    "cmd ecodim {0} {1}",
+    "cmd verify-bounds {0} {1} roots t:2",
+    "cmd height-one {0} {1} var t max 3",
+    "cmd ejump {0} {1} roots t:1",
+)
+
+
+def _session_pairs() -> list:
+    all_pairs = [("I", "P"), ("J", "Q"), ("I", "R"), ("I", "Q"), ("J", "R"), ("J", "P")]
+    out = []
+    for pairs in [all_pairs, all_pairs[::-1]] + [[pair] for pair in all_pairs]:
+        names = sorted({name for pair in pairs for name in pair})
+        lines = ["base p=3 vars t"] + [_PAIR_DECLARATIONS[name] for name in names]
+        lines += [command.format(*pair) for command in _PAIR_COMMANDS for pair in pairs]
+        out.append(_session_json("\n".join(lines) + "\n"))
+    for case in workloads.sessions_setup(1):
+        lines = case.text.splitlines()
+        lines = [re.sub(r" max \d+$", " max 4", line) if line.startswith("cmd height-one I P") else line for line in lines]
+        out.append(_session_json("\n".join(lines) + "\n"))
     return out
 
 
@@ -145,6 +186,7 @@ FAMILIES = (
     ("bound-reports", _bound_reports),
     ("gcds", _gcds),
     ("ratfuncs", _ratfuncs),
+    ("session-pairs", _session_pairs),
 )
 
 

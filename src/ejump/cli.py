@@ -79,6 +79,8 @@ class Session:
     ideals: dict = field(default_factory=dict)
     points: dict = field(default_factory=dict)
     commands: list = field(default_factory=list)
+    # (ideal name, point name) -> LocalAt; names are never redeclared
+    local_rings: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -330,10 +332,6 @@ def _parse_point(session: Session, line: str, lineno: int, last_vars: tuple | No
         raise ValidationError(f"invalid point {name!r}: {exc}", lineno) from exc
 
 
-_TOWER_COMMANDS = {"pdeg", "trdeg", "schroer", "edim-tensor", "verify-structure"}
-_POINT_COMMANDS = {"edim", "ecodim", "ejump", "verify-bounds"}
-
-
 def _parse_command(session: Session, line: str, lineno: int) -> Command:
     base = _require_base(session, lineno)
     tokens = line.split()
@@ -449,6 +447,15 @@ def _spec_from_args(entries: list) -> artin.InseparableExtensionSpec:
     return artin.InseparableExtensionSpec.of([(rad, exp) for _, rad, exp in entries])
 
 
+def _local_ring(session: Session, ideal: str, point: str) -> localring.LocalAt:
+    """The session's one local computation for (ideal, point), built on first use."""
+    local = session.local_rings.get((ideal, point))
+    if local is None:
+        local = localring.LocalAt(session.ideals[ideal], session.points[point])
+        session.local_rings[(ideal, point)] = local
+    return local
+
+
 def _execute(session: Session, cmd: Command, options: RunOptions) -> dict:
     name = cmd.name
     if name == "pdeg":
@@ -494,24 +501,7 @@ def _execute(session: Session, cmd: Command, options: RunOptions) -> dict:
             "quotient_ok": report.quotient_ok,
             "passed": report.passed,
         }
-    I = session.ideals.get(cmd.args.get("ideal"))
-    P = session.points.get(cmd.args.get("point"))
-    if name == "edim":
-        return {"value": localring.edim_at_point(I, P)}
-    if name == "ecodim":
-        return {"value": localring.ecodim_at_point(I, P)}
-    if name == "ejump":
-        report = localring.ejump_at_point(I, P, cmd.args["exponents"])
-        return report.to_dict()
-    if name == "verify-bounds":
-        report = localring.verify_bounds(I, P, cmd.args["exponents"], strict=options.strict)
-        return report.to_dict()
-    if name == "height-one":
-        if cmd.args["target"] == "point":
-            report = localring.verify_height_one_stability(
-                I, P, cmd.args["variable"], cmd.args["n_max"]
-            )
-            return report.to_dict()
+    if name == "height-one" and cmd.args["target"] == "tower":
         K = session.towers[cmd.args["tower"]]
         rad = K.base.field.gen_named(cmd.args["variable"])
         jumps = [
@@ -523,6 +513,18 @@ def _execute(session: Session, cmd: Command, options: RunOptions) -> dict:
             "jumps": jumps,
             "stable": len(set(jumps)) == 1,
         }
+    if "point" in cmd.args:
+        local = _local_ring(session, cmd.args["ideal"], cmd.args["point"])
+        if name == "edim":
+            return {"value": local.edim}
+        if name == "ecodim":
+            return {"value": local.ecodim}
+        if name == "ejump":
+            return local.report(cmd.args["exponents"]).to_dict()
+        if name == "verify-bounds":
+            return local.report(cmd.args["exponents"], strict=options.strict).to_dict()
+        if name == "height-one":
+            return local.height_one(cmd.args["variable"], cmd.args["n_max"]).to_dict()
     raise ParseError(f"unknown command {name!r}", cmd.line, 1)
 
 

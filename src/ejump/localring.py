@@ -6,8 +6,14 @@ tower, built one generator at a time by `adjoin_generator`: a linear u_i
 fixes the image of x_i, any other u_i adjoins the layer u_i = 0.  The
 classes of the triangular generators span the cotangent space.  A jump
 report reads edim after base change, and both bounds, off Jacobian ranks at
-P itself: of I's generators for edim after, of P's own for the bounds.  The
-second route, `base_change_point`, rewrites I and P over k' via t_i =
+P itself: of I's generators for edim after, of P's own for the bounds.
+
+`LocalAt(I, P)` computes each of these pieces at most once: the residue
+tower, the triangular edim, the Krull dimension and the Jacobian columns.  A
+CLI session keeps one per (ideal, point), so its commands about the same
+pair compute it once; each library function builds a fresh one per call, and
+nothing is cached on `ClosedPoint` or `IdealPresentation`.  The second
+route, `base_change_point`, rewrites I and P over k' via t_i =
 s_i^(p^e_i); the walk's nilpotent roots become polynomials through
 `FlatModel.flatten` of the residue field, a slot of kappa read as its
 variable x_i and an adjoined slot as s_j.
@@ -16,6 +22,7 @@ variable x_i and an adjoined slot as s_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import artin
 from .errors import (
@@ -194,45 +201,161 @@ def _triangular_quotients(g: MultiPoly, P: ClosedPoint) -> list:
     return quotients
 
 
-def edim_at_point(I: IdealPresentation, P: ClosedPoint) -> int:
-    """dim over kappa of m/m^2 for the local ring (k[x]/I) at P.
+class _Jacobian:
+    """[dg/dt_j | dg/dx_i](P) over kappa, one row per generator g, evaluated a column at a time.
 
-    k[x]_P is regular of dimension n and u_1..u_n generate P, so the classes
-    [u_i] are a kappa-basis of P/P^2 (Matsumura, Commutative Ring Theory, §14).
-    Each generator g = sum q_i u_i of I has class sum q_i(P) [u_i], hence
-    edim = n - rank over kappa of the values q_i(P).
+    dg/dt_j differentiates the F_p(t) coefficients of g (see `LocalAt.report`).
+    A column is evaluated on first use, and each corank is computed once.
     """
-    _check_compatible(I, P)
-    return _triangular_edim(I, P, *P.residue_tower())
+
+    def __init__(self, generators: tuple, kappa: FieldTower, images: list):
+        self.generators, self.kappa, self.images = generators, kappa, images
+        self._columns: dict = {}
+        self._coranks: dict = {}
+
+    def _column(self, kind: str, j: int) -> list:
+        column = self._columns.get((kind, j))
+        if column is None:
+            n, kappa = len(self.images), self.kappa
+            if kind == "t":
+                polys = [
+                    MultiPoly.from_terms(g.dom, n, ((e, c.derivative(j)) for e, c in g.terms.items()))
+                    for g in self.generators
+                ]
+            else:
+                polys = [g.derivative(j) for g in self.generators]
+            with _not_prime_on_zero_divisor():
+                column = [f.evaluate(self.images, kappa.from_base).payload for f in polys]
+            self._columns[(kind, j)] = column
+        return column
+
+    def corank(self, keep: tuple) -> int:
+        """n - rank over kappa of the dg/dt_j columns for j in keep, then every dg/dx_i column."""
+        corank = self._coranks.get(keep)
+        if corank is None:
+            n = len(self.images)
+            columns = [self._column("t", j) for j in keep] + [self._column("x", i) for i in range(n)]
+            with _not_prime_on_zero_divisor():
+                corank = self._coranks[keep] = n - self.kappa.algebra.rank(list(zip(*columns)))
+        return corank
 
 
-def _triangular_edim(I: IdealPresentation, P: ClosedPoint, kappa: FieldTower, images: list) -> int:
-    quotients = [_triangular_quotients(g, P) for g in I.generators]
-    with _not_prime_on_zero_divisor():
-        model = flat_model(kappa)
-        rows = [[model.flatten(q.evaluate(images, kappa.from_base)) for q in qs] for qs in quotients]
-        return len(P.varnames) - model.algebra.rank(rows)
+class LocalAt:
+    """The local ring (k[x]/I)_P, each piece computed at most once, on first use.
 
-
-def _jacobian_edim(generators: tuple, kappa: FieldTower, images: list, keep) -> int:
-    """n - rank over kappa of [dg/dt_j for j in keep | dg/dx_i](P), one row per generator g.
-
-    dg/dt_j differentiates the F_p(t) coefficients of g (see `ejump_at_point`).
+    The pieces are the residue tower (kappa, images), the triangular edim, the
+    Krull dimension of I, and the Jacobians at P of I's generators and of P's
+    own.  A failing piece raises again each time it is asked for, so a failing
+    (I, P) fails the same way on every command.  The object holds the only
+    cache: the CLI keeps one per (ideal, point) of a session, and each library
+    wrapper below builds a fresh one per call.
     """
-    n = len(images)
-    model = flat_model(kappa)
-    rows = [
-        [MultiPoly.from_terms(g.dom, n, ((e, c.derivative(j)) for e, c in g.terms.items())) for j in keep]
-        + [g.derivative(i) for i in range(n)]
-        for g in generators
-    ]
-    with _not_prime_on_zero_divisor():
-        values = [[model.flatten(f.evaluate(images, kappa.from_base)) for f in row] for row in rows]
-        return n - model.algebra.rank(values)
 
+    def __init__(self, I: IdealPresentation, P: ClosedPoint):
+        _check_compatible(I, P)
+        self.I, self.P = I, P
 
-def krull_dim(I: IdealPresentation) -> int:
-    return quotient_dim(I)[0]
+    @cached_property
+    def residue_tower(self) -> tuple:
+        return self.P.residue_tower()
+
+    @cached_property
+    def edim(self) -> int:
+        """dim over kappa of m/m^2.
+
+        k[x]_P is regular of dimension n and u_1..u_n generate P, so the classes
+        [u_i] are a kappa-basis of P/P^2 (Matsumura, Commutative Ring Theory,
+        §14).  Each generator g = sum q_i u_i of I has class sum q_i(P) [u_i],
+        hence edim = n - rank over kappa of the values q_i(P).
+        """
+        kappa, images = self.residue_tower
+        quotients = [_triangular_quotients(g, self.P) for g in self.I.generators]
+        with _not_prime_on_zero_divisor():
+            rows = [[q.evaluate(images, kappa.from_base).payload for q in qs] for qs in quotients]
+            return len(images) - kappa.algebra.rank(rows)
+
+    @cached_property
+    def krull_dim(self) -> int:
+        return quotient_dim(self.I)[0]
+
+    @property
+    def ecodim(self) -> int:
+        """edim minus the Krull dimension of the quotient (equidimensionality assumed)."""
+        return _ecodim(self.edim, self.krull_dim)
+
+    @cached_property
+    def _ideal_jacobian(self) -> _Jacobian:
+        return _Jacobian(self.I.generators, *self.residue_tower)
+
+    @cached_property
+    def _point_jacobian(self) -> _Jacobian:
+        return _Jacobian(self.P.generators, *self.residue_tower)
+
+    def report(self, exponents, strict: bool = False) -> JumpReport:
+        """Full before/after report with both proved bounds evaluated.
+
+        F_p is perfect, so m/m^2 of O = (k[x]/I)_P embeds in Omega_{O/F_p} (x)
+        kappa with cokernel Omega_{kappa/F_p} of dimension d (Matsumura,
+        Thm 25.2): edim O = n - rank [dg/dt_j | dg/dx_i](P).  Over k', dt_j = 0
+        when e_j >= 1, so edim after drops those columns, and the rank stays one
+        over kappa.  k'/k is algebraic, so the Krull dimension is unchanged.  The
+        same count with I = P bounds the jump: the lemma's edim(kappa (x)_k k')
+        keeps the columns edim after keeps, and the theorem's pdeg - trdeg of
+        kappa/k is dim Omega_{kappa/k} = n - rank [du/dx_i](P), as kappa/k is
+        finite.  A rank over more columns is never smaller, so the theorem's
+        inequality holds by construction; `acceptance.criterion_3_bound_chain`
+        recounts both bounds by the base-change walk and by Kaehler ranks.
+        In strict mode a violated inequality raises BoundViolated.
+        """
+        base = self.P.base
+        exponents = normalize_exponents(base, exponents)
+        edim_before = self.edim
+        dim = self.krull_dim
+        ecodim_before = _ecodim(edim_before, dim)
+        keep = tuple(j for j, e in enumerate(exponents) if e == 0)
+        edim_after = self._ideal_jacobian.corank(keep)
+        bound_lemma = self._point_jacobian.corank(keep)
+        bound_theorem = self._point_jacobian.corank(())
+
+        ejump = edim_after - edim_before
+        ecodim_after = edim_after - dim
+        satisfied = {
+            "nonnegative": 0 <= ejump,
+            "lemma": ejump <= bound_lemma,
+            "theorem": bound_lemma <= bound_theorem,
+            "corollary_edim": edim_after <= edim_before + base.d,
+            "corollary_ecodim": ecodim_after <= base.d,
+        }
+        report = JumpReport(
+            edim_before=edim_before,
+            edim_after=edim_after,
+            ejump=ejump,
+            ecodim_before=ecodim_before,
+            ecodim_after=ecodim_after,
+            bound_lemma=bound_lemma,
+            bound_theorem=bound_theorem,
+            base_dim=base.d,
+            satisfied=satisfied,
+        )
+        if strict:
+            for name, ok in satisfied.items():
+                if not ok:
+                    raise BoundViolated(name, f"report: {report.to_dict()}")
+        return report
+
+    def height_one(self, variable: str, n_max: int) -> StabilityReport:
+        """Jumps over t_var^(1/p^n) for n = 1..n_max.
+
+        Edim after keeps the t_j columns with e_j = 0, the same set for every
+        n >= 1, so one report gives every jump and they agree by construction.
+        Criterion 2's Buchberger recount of the cusps is the real check.
+        """
+        if n_max < 2:
+            raise ArityMismatch("n_max must be >= 2")
+        if variable not in self.P.base.varnames:
+            raise ArityMismatch(f"unknown base variable {variable!r}")
+        jump = self.report({variable: 1}).ejump
+        return StabilityReport(variable, (jump,) * n_max, True)
 
 
 def _ecodim(edim: int, dim: int) -> int:
@@ -248,9 +371,14 @@ def _ecodim(edim: int, dim: int) -> int:
     return edim - dim
 
 
+def edim_at_point(I: IdealPresentation, P: ClosedPoint) -> int:
+    """dim over kappa of m/m^2 for the local ring (k[x]/I) at P; see `LocalAt.edim`."""
+    return LocalAt(I, P).edim
+
+
 def ecodim_at_point(I: IdealPresentation, P: ClosedPoint) -> int:
     """edim minus the Krull dimension of the quotient (equidimensionality assumed)."""
-    return _ecodim(edim_at_point(I, P), krull_dim(I))
+    return LocalAt(I, P).ecodim
 
 
 # -- base change ------------------------------------------------------------
@@ -386,80 +514,20 @@ def _triangularize(base: BaseField, varnames: tuple, generators: tuple) -> Close
 
 
 def ejump_at_point(I: IdealPresentation, P: ClosedPoint, exponents) -> JumpReport:
-    """Full before/after report with both proved bounds evaluated.
-
-    F_p is perfect, so m/m^2 of O = (k[x]/I)_P embeds in Omega_{O/F_p} (x) kappa
-    with cokernel Omega_{kappa/F_p} of dimension d (Matsumura, Thm 25.2):
-    edim O = n - rank [dg/dt_j | dg/dx_i](P).  Over k', dt_j = 0 when e_j >= 1,
-    so edim after drops those columns, and the rank stays one over kappa.
-    k'/k is algebraic, so the Krull dimension is unchanged.  The same count
-    with I = P bounds the jump: the lemma's edim(kappa (x)_k k') keeps the
-    columns edim after keeps, and the theorem's pdeg - trdeg of kappa/k is
-    dim Omega_{kappa/k} = n - rank [du/dx_i](P), as kappa/k is finite.  A rank
-    over more columns is never smaller, so the theorem's inequality holds by
-    construction; `acceptance.criterion_3_bound_chain` recounts both bounds by
-    the base-change walk and by Kaehler ranks.
-    """
-    _check_compatible(I, P)
-    base = P.base
-    exponents = normalize_exponents(base, exponents)
-    d = base.d
-
-    kappa, images = P.residue_tower()
-    edim_before = _triangular_edim(I, P, kappa, images)
-    dim = krull_dim(I)
-    ecodim_before = _ecodim(edim_before, dim)
-    keep = [j for j, e in enumerate(exponents) if e == 0]
-    edim_after = _jacobian_edim(I.generators, kappa, images, keep)
-    ecodim_after = edim_after - dim
-    bound_lemma = _jacobian_edim(P.generators, kappa, images, keep)
-    bound_theorem = _jacobian_edim(P.generators, kappa, images, ())
-
-    ejump = edim_after - edim_before
-    satisfied = {
-        "nonnegative": 0 <= ejump,
-        "lemma": ejump <= bound_lemma,
-        "theorem": bound_lemma <= bound_theorem,
-        "corollary_edim": edim_after <= edim_before + d,
-        "corollary_ecodim": ecodim_after <= d,
-    }
-    return JumpReport(
-        edim_before=edim_before,
-        edim_after=edim_after,
-        ejump=ejump,
-        ecodim_before=ecodim_before,
-        ecodim_after=ecodim_after,
-        bound_lemma=bound_lemma,
-        bound_theorem=bound_theorem,
-        base_dim=d,
-        satisfied=satisfied,
-    )
+    """Full before/after report with both proved bounds; see `LocalAt.report`."""
+    return LocalAt(I, P).report(exponents)
 
 
 def verify_bounds(I: IdealPresentation, P: ClosedPoint, exponents, strict: bool = False) -> JumpReport:
     """Evaluate every inequality; in strict mode a violation raises BoundViolated."""
-    report = ejump_at_point(I, P, exponents)
-    if strict:
-        for name, ok in report.satisfied.items():
-            if not ok:
-                raise BoundViolated(name, f"report: {report.to_dict()}")
-    return report
+    return LocalAt(I, P).report(exponents, strict)
 
 
 def verify_height_one_stability(
     I: IdealPresentation, P: ClosedPoint, variable: str, n_max: int
 ) -> StabilityReport:
-    """Jumps over t_var^(1/p^n) for n = 1..n_max must all agree."""
-    if n_max < 2:
-        raise ArityMismatch("n_max must be >= 2")
-    base = P.base
-    if variable not in base.varnames:
-        raise ArityMismatch(f"unknown base variable {variable!r}")
-    jumps = []
-    for nv in range(1, n_max + 1):
-        report = ejump_at_point(I, P, {variable: nv})
-        jumps.append(report.ejump)
-    return StabilityReport(variable, tuple(jumps), len(set(jumps)) == 1)
+    """Jumps over t_var^(1/p^n) for n = 1..n_max must all agree; see `LocalAt.height_one`."""
+    return LocalAt(I, P).height_one(variable, n_max)
 
 
 def classical_jacobian_edim(I: IdealPresentation, P: ClosedPoint) -> int:
@@ -468,5 +536,4 @@ def classical_jacobian_edim(I: IdealPresentation, P: ClosedPoint) -> int:
     Agrees with edim_at_point exactly at points with separable residue field;
     at inseparable points the naive Jacobian misses cotangent directions.
     """
-    _check_compatible(I, P)
-    return _jacobian_edim(I.generators, *P.residue_tower(), keep=())
+    return LocalAt(I, P)._ideal_jacobian.corank(())

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ejump import localring
 from ejump.cli import (
     RunOptions,
     emit_report,
@@ -12,6 +13,7 @@ from ejump.cli import (
     run_command,
 )
 from ejump.errors import ParseError, ValidationError
+from ejump.localring import ClosedPoint
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
@@ -188,6 +190,77 @@ class TestCommands:
         reports = run_session_text(text)
         assert reports[0].status == "error"
         assert reports[0].error["type"] == "NotContained"
+
+
+# two ideals through both P and Q over F_3(t); neither contains R
+PAIR_DECLARATIONS = {
+    "I": "ideal I vars x,y : (x - 1)*(x^2 + y^3 + t)",
+    "J": "ideal J vars x,y : x*(x - 1), (y^3 + t)*(y - t)",
+    "P": "point P vars x,y : x, y^3 + t",
+    "Q": "point Q vars x,y : x - 1, y - t",
+    "R": "point R vars x,y : x + 1, y",
+}
+PAIR_COMMANDS = (
+    "cmd edim {0} {1}",
+    "cmd ejump {0} {1} roots t:1",
+    "cmd ecodim {0} {1}",
+    "cmd verify-bounds {0} {1} roots t:2",
+    "cmd height-one {0} {1} var t max 3",
+    "cmd ejump {0} {1} roots t:1",
+)
+
+
+def pair_session(pairs):
+    """A session about the given (ideal, point) pairs, their commands interleaved round-robin."""
+    names = sorted({name for pair in pairs for name in pair}, key=list(PAIR_DECLARATIONS).index)
+    lines = ["base p=3 vars t"] + [PAIR_DECLARATIONS[name] for name in names]
+    lines += [command.format(*pair) for command in PAIR_COMMANDS for pair in pairs]
+    return "\n".join(lines) + "\n"
+
+
+class TestLocalRingPerSession:
+    def test_one_tower_and_one_krull_dim_per_pair(self, monkeypatch):
+        calls = {"quotient_dim": 0, "residue_tower": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(localring, "quotient_dim", counted("quotient_dim", localring.quotient_dim))
+        monkeypatch.setattr(ClosedPoint, "residue_tower", counted("residue_tower", ClosedPoint.residue_tower))
+        text = (
+            "base p=2 vars t\n"
+            "ideal I vars y,x : x^2 + y^3 + t\n"
+            "point P : y, x^2 + t\n"
+            "cmd edim I P\n"
+            "cmd ecodim I P\n"
+            "cmd ejump I P roots t:1\n"
+            "cmd verify-bounds I P roots t:1\n"
+            "cmd height-one I P var t max 3\n"
+        )
+        reports = run_session_text(text)
+        assert [r.status for r in reports] == ["ok"] * 5
+        assert reports[4].result == {"variable": "t", "jumps": [1, 1, 1], "stable": True}
+        assert calls == {"quotient_dim": 1, "residue_tower": 1}
+
+    def test_interleaved_pairs_match_single_pair_sessions(self):
+        pairs = [("I", "P"), ("J", "Q"), ("I", "R"), ("I", "Q"), ("J", "R"), ("J", "P")]
+        reports = run_session_text(pair_session(pairs))
+        assert len(reports) == len(PAIR_COMMANDS) * len(pairs)
+        for k, pair in enumerate(pairs):
+            mine = [r.to_dict() for r in reports[k :: len(pairs)]]
+            alone = [r.to_dict() for r in run_session_text(pair_session([pair]))]
+            assert mine == alone, pair
+            if pair[1] == "R":
+                assert {r["status"] for r in mine} == {"error"}
+                assert {(r["error"]["type"], r["error"]["message"]) for r in mine} == {
+                    ("NotContained", "ideal is not contained in the point's maximal ideal")
+                }
+            else:
+                assert {r["status"] for r in mine} == {"ok"}, pair
 
 
 class TestEmission:

@@ -378,6 +378,16 @@ class TestHeightOneStability:
         assert report.jumps == (0, 0, 0)
         assert report.stable
 
+    @pytest.mark.parametrize("n_max", [2, 3, 5])
+    @pytest.mark.parametrize("case", ["cusp_char2", "cusp_char3"] + [f"bound-{seed}" for seed in range(20)])
+    def test_one_report_matches_a_report_per_exponent(self, case, n_max):
+        # the independent route: one full report for each exponent 1..n_max
+        I, P, _ = report_case(case)
+        for variable in P.base.varnames:
+            jumps = tuple(localring.ejump_at_point(I, P, {variable: k}).ejump for k in range(1, n_max + 1))
+            report = localring.verify_height_one_stability(I, P, variable, n_max)
+            assert (report.jumps, report.stable) == (jumps, len(set(jumps)) == 1)
+
 
 class TestJetOracle:
     def test_disagrees_at_inseparable_point(self):
