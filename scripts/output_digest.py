@@ -20,11 +20,15 @@ Families:
 - session-pairs: the CLI JSON of sessions that ask about several (ideal,
   point) pairs with their commands interleaved, one of them not contained in
   its point, and of each pair alone; then the seed-1 `sessions` cases with
-  `height-one I P ... max 4`.
+  `height-one I P ... max 4`;
+- oracle: every field of the structure oracle's report on the `fields` pool
+  towers with their oracle radicand at exponents 1 and 2, on criterion 5's
+  specs, and on `instances.rational_oracle_specs`.
 
 The benchmark's workload module supplies the inputs and is only imported.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -40,9 +44,9 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 from ejump import artin, cli, kaehler, localring  # noqa: E402
-from ejump.acceptance import run_all  # noqa: E402
+from ejump.acceptance import run_all, structure_oracle_specs  # noqa: E402
 from ejump.ff_arith import MultiPoly, PrimeField, RatFunc, poly_gcd, render_ratfunc  # noqa: E402
-from ejump.instances import random_bound_instance  # noqa: E402
+from ejump.instances import random_bound_instance, rational_oracle_specs  # noqa: E402
 from ejump.tower import p_root_tower  # noqa: E402
 
 
@@ -129,6 +133,13 @@ def _session_pairs() -> list:
     return out
 
 
+def _oracle() -> list:
+    pool = [(case.tower, case.spec.entries[0][0]) for case in workloads.fields_setup(1)]
+    cases = [(K, artin.InseparableExtensionSpec.of([(a, n)])) for K, a in pool for n in (1, 2)]
+    cases += structure_oracle_specs() + rational_oracle_specs()
+    return [dataclasses.asdict(artin.verify_structure_oracle(K, spec)) for K, spec in cases]
+
+
 def _random_poly(rng: random.Random, p: int, arity: int) -> MultiPoly:
     items = [(tuple(rng.randint(0, 3) for _ in range(arity)), rng.randint(1, p - 1)) for _ in range(rng.randint(1, 4))]
     f = MultiPoly.from_terms(PrimeField(p), arity, items)
@@ -187,6 +198,7 @@ FAMILIES = (
     ("gcds", _gcds),
     ("ratfuncs", _ratfuncs),
     ("session-pairs", _session_pairs),
+    ("oracle", _oracle),
 )
 
 

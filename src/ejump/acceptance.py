@@ -21,6 +21,7 @@ from .instances import (
     random_bound_instance,
     random_point,
     random_separable_point_instance,
+    random_base_element,
     random_tower,
     random_tower_element,
     sqrt_t_tower,
@@ -93,8 +94,6 @@ def criterion_2_height_one_stability() -> CriterionResult:
         if rt.inseparable_radicands and rng.random() < 0.7:
             a = rt.inseparable_radicands[0]
         else:
-            from .instances import random_base_element
-
             a = random_base_element(rng, K.base, allow_fraction=False)
         if a.is_zero:
             continue
@@ -179,22 +178,17 @@ def criterion_4_cusp_reproduction() -> CriterionResult:
     return CriterionResult(4, "cusp reproduction", not failures, detail, time.time() - start)
 
 
-def criterion_5_structure_oracle() -> CriterionResult:
-    """The base-change oracle passes all clauses on random specs and both explicit cases."""
-    start = time.time()
-    rng = random.Random(BASE_SEED + 5)
-    failures = []
-    checked = 0
-    # the two explicit shapes: residue field unchanged (n <= m) and grown (m < n)
+def structure_oracle_specs() -> list:
+    """(K, spec) for criterion 5: both explicit shapes, then 28 random specs.
+
+    The explicit shapes over F_2(sqrt t) keep the residue field (n = 1) and
+    grow it (n = 2).
+    """
     K = sqrt_t_tower(2)
     t = K.base.field.gen(0)
-    for n in (1, 2):
-        spec = artin.InseparableExtensionSpec.of([(t, n)])
-        report = artin.verify_structure_oracle(K, spec)
-        if not report.passed:
-            failures.append((f"explicit n={n}", report.failures()))
-        checked += 1
-    while checked < 30:
+    cases = [(K, artin.InseparableExtensionSpec.of([(t, n)])) for n in (1, 2)]
+    rng = random.Random(BASE_SEED + 5)
+    while len(cases) < 30:
         p = rng.choice((2, 2, 3))
         d = rng.randint(1, 2)
         rt = random_tower(rng, p, d, max_layers=2, max_exp=2, dim_budget=4 if p == 3 else 8)
@@ -206,8 +200,6 @@ def criterion_5_structure_oracle() -> CriterionResult:
             if rt.inseparable_radicands and rng.random() < 0.6:
                 a = rt.inseparable_radicands[rng.randrange(len(rt.inseparable_radicands))]
             else:
-                from .instances import random_base_element
-
                 a = random_base_element(rng, K.base, allow_fraction=False)
             n = rng.randint(1, 2)
             if total * p**n > budget:
@@ -220,12 +212,20 @@ def criterion_5_structure_oracle() -> CriterionResult:
             continue
         if K.degree_over_transcendental_base() * total > 48:
             continue
-        spec = artin.InseparableExtensionSpec.of(entries)
+        cases.append((K, artin.InseparableExtensionSpec.of(entries)))
+    return cases
+
+
+def criterion_5_structure_oracle() -> CriterionResult:
+    """The base-change oracle passes all clauses on random specs and both explicit cases."""
+    start = time.time()
+    failures = []
+    cases = structure_oracle_specs()
+    for i, (K, spec) in enumerate(cases):
         report = artin.verify_structure_oracle(K, spec, cap=2**10)
         if not report.passed:
-            failures.append((checked, report.failures()))
-        checked += 1
-    detail = f"{checked} specs, {len(failures)} oracle failures"
+            failures.append((i, report.failures()))
+    detail = f"{len(cases)} specs, {len(failures)} oracle failures"
     return CriterionResult(5, "base-change structure oracle", not failures, detail, time.time() - start)
 
 

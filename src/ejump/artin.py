@@ -7,16 +7,21 @@ p-power roots in the residue field so far first: an entry's largest
 extractable p-power root m decides whether the residue field grows (m < n)
 and whether a nilpotent of order p^m appears (m >= 1).
 
+The walk adjoins a root layer without `tower_extend`'s p-th-power check:
+it adjoins only after `max_p_power_exponent` stopped on NotAPower in the
+same field, and `p_power_root` decides that exactly.
+
 The verification oracle rebuilds the concrete finite-dimensional algebra
 K[z1..zr]/(zi^(p^ni) - ai) and checks the claimed structure clause by
-clause: total dimension, exact nilpotency indices, and the dimension of the
-quotient by the claimed nilpotents.  Residue-field elements enter that
-algebra through `FlatModel.flatten` of the residue field, with each adjoined
-layer's slot moved to its entry's z slot.
+clause: total dimension, exact nilpotency indices, and the dimension over K
+of the quotient by the claimed nilpotents, one rank over K.  Residue-field
+elements enter that algebra through `FlatModel.flatten` of the residue
+field, with each adjoined layer's slot moved to its entry's z slot.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, CapExceeded
@@ -26,8 +31,8 @@ from .tower import (
     BaseField,
     FieldTower,
     TowerElement,
-    adjoin_p_root,
     fresh_name,
+    inseparable_root_layer,
     max_p_power_exponent,
 )
 
@@ -143,8 +148,10 @@ def base_change_structure(K: FieldTower, spec: InseparableExtensionSpec) -> Trun
         if m >= n:
             nilpotents.append(NilpotentRecord(idx, n, root_m, 1))
         else:
+            # root_m is not a p-th power in L (see the module docstring), so
+            # the layer skips `tower_extend`'s re-check
             name = fresh_name(L, "g")
-            L = adjoin_p_root(L, root_m, n - m, name=name)
+            L = FieldTower(L.base, L.layers + (inseparable_root_layer(L, name, root_m, n - m),))
             adjoined.append((idx, name))
             if m >= 1:
                 nilpotents.append(NilpotentRecord(idx, m, root_m, K.p ** (n - m)))
@@ -232,6 +239,31 @@ class _ConcreteAlgebra:
             out[tuple(exp)] = c
         return out
 
+    def ideal_rank(self, generators: list) -> int:
+        """dim_K of the ideal of A = K[z]/(zi^(p^ni) - ai) that the generators span.
+
+        An ideal of a K-algebra is a K-subspace and the z-monomials are a
+        K-basis of A, so the rows g * z^beta, one K-entry per z-monomial
+        (highest first), span it.  The rank is `FlatAlgebra.rank` over K's flat
+        algebra, or a `LinearSolver` rank of the scalar rows when K has no slot.
+        """
+        alg, k = self.algebra, self.k_slots
+        z_basis = list(itertools.product(*(range(l.degree) for l in alg.layers[k:])))[::-1]
+        column = {beta: j for j, beta in enumerate(z_basis)}
+        rows = []
+        for g in generators:
+            for beta in z_basis:
+                row = [{} for _ in z_basis]
+                for e, c in alg.mul(g, {(0,) * k + beta: alg.field.one}).items():
+                    row[column[e[k:]]][e[:k]] = c
+                rows.append(row)
+        if k:
+            return self.model.algebra.rank(rows)
+        solver = LinearSolver(alg.field, len(z_basis))
+        for row in rows:
+            solver.add_equation([entry.get((), alg.field.zero) for entry in row], alg.field.zero)
+        return solver.rank
+
 
 def verify_structure_oracle(
     K: FieldTower,
@@ -244,7 +276,7 @@ def verify_structure_oracle(
     Clauses: (a) the algebra has the full monomial dimension over K; (b) each
     claimed nilpotent has multiplication operator of nilpotency index exactly
     p^m; (c) the quotient by the claimed nilpotents has the dimension of the
-    residue field.
+    residue field over K, counted as total - dim_K of the ideal they generate.
     """
     if structure is None:
         structure = base_change_structure(K, spec)
@@ -279,24 +311,13 @@ def verify_structure_oracle(
         checks.append(NilpotentCheck(rec.entry_index, m, vanishes and sharp, corrected))
         eps_vecs.append(eps)
 
-    basis = alg.basis()
-    index = {e: i for i, e in enumerate(basis)}
-    solver = LinearSolver(alg.field, len(basis))
-    for eps in eps_vecs:
-        for b in basis:
-            prod = alg.mul(eps, {b: alg.field.one})
-            coeffs = [alg.field.zero] * len(basis)
-            for e, c in prod.items():
-                coeffs[index[e]] = c
-            solver.add_equation(coeffs, alg.field.zero)
-    d_base = conc.model.algebra.dimension
-    quotient_computed_scaled = alg.dimension - solver.rank
+    rank = conc.ideal_rank(eps_vecs)
     quotient_expected = structure.residue_degree
     return StructureReport(
         dimension_expected=total,
         dimension_ok=dimension_ok,
         nilpotent_checks=tuple(checks),
         quotient_expected=quotient_expected,
-        quotient_computed=quotient_computed_scaled // d_base,
-        quotient_ok=quotient_computed_scaled == quotient_expected * d_base,
+        quotient_computed=total - rank,
+        quotient_ok=total - rank == quotient_expected,
     )

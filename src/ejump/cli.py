@@ -504,15 +504,10 @@ def _execute(session: Session, cmd: Command, options: RunOptions) -> dict:
     if name == "height-one" and cmd.args["target"] == "tower":
         K = session.towers[cmd.args["tower"]]
         rad = K.base.field.gen_named(cmd.args["variable"])
-        jumps = [
-            artin.base_change_structure(K, artin.InseparableExtensionSpec.of([(rad, n)])).edim
-            for n in range(1, cmd.args["n_max"] + 1)
-        ]
-        return {
-            "variable": cmd.args["variable"],
-            "jumps": jumps,
-            "stable": len(set(jumps)) == 1,
-        }
+        # the walk of the one entry (t, n) has edim 1 exactly when t is in K^p,
+        # for every n >= 1, so the n = 1 walk gives every jump
+        edim = artin.base_change_structure(K, artin.InseparableExtensionSpec.of([(rad, 1)])).edim
+        return {"variable": cmd.args["variable"], "jumps": [edim] * cmd.args["n_max"], "stable": True}
     if "point" in cmd.args:
         local = _local_ring(session, cmd.args["ideal"], cmd.args["point"])
         if name == "edim":

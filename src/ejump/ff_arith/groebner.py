@@ -106,9 +106,11 @@ def _clear_denominators(f: MultiPoly) -> MultiPoly:
 def groebner_basis(I: IdealPresentation) -> GroebnerBasis:
     """Reduced Groebner basis; deterministic and idempotent for fixed input."""
     order = I.order
-    basis = [_clear_denominators(g) for g in I.generators if not g.is_zero]
-    if not basis:
-        return GroebnerBasis(I.coeff_field, I.varnames, (), order)
+    nonzero = [g for g in I.generators if not g.is_zero]
+    if len(nonzero) <= 1:
+        # no S-pairs: the reduced basis of a principal ideal is its monic generator
+        return GroebnerBasis(I.coeff_field, I.varnames, tuple(monic(g, order) for g in nonzero), order)
+    basis = [_clear_denominators(g) for g in nonzero]
 
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:

@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotAPowerViolation, NotPrime
-from .ff_arith import IdealPresentation, MultiPoly, RatFunc, poly_from_text
+from .artin import InseparableExtensionSpec
+from .ff_arith import IdealPresentation, MultiPoly, RatFunc, poly_from_text, ratfunc_from_text
 from .localring import ClosedPoint, adjoin_generator
 from .tower import (
     BaseField,
@@ -66,6 +67,28 @@ def sqrt_t_tower(p: int = 2) -> FieldTower:
     base = BaseField(p, ("t",))
     k = FieldTower(base)
     return adjoin_p_root(k, k.base_var("t"), 1, name="u")
+
+
+def rational_oracle_specs() -> list:
+    """(K, spec) over K = F_p(T), of total degree 27-125 with two or more nilpotents.
+
+    K has no slot, so the structure oracle counts its quotient in scalar rows.
+    """
+    cases = []
+    for p, names, entries in (
+        (2, ("t",), (("t", 2), ("t", 2), ("t", 1))),
+        (2, ("t",), (("t", 3), ("t", 1), ("t^2 + t", 1))),
+        (2, ("t",), (("t", 1), ("t + 1", 2), ("t^3 + t^2", 1), ("t", 2))),
+        (3, ("t",), (("t", 1), ("t", 1), ("t", 1))),
+        (3, ("t1", "t2"), (("t1", 1), ("t1", 1), ("t2", 1), ("t1*t2", 1))),
+        (3, ("t1", "t2"), (("t1 + t2", 1), ("t1", 1), ("t1^3 + t2^3", 1), ("t2", 1))),
+        (5, ("t",), (("t", 1), ("t", 1), ("t + 1", 1))),
+        (5, ("t",), (("t", 1), ("t^5 + 2", 1), ("t + 3", 1))),
+    ):
+        base = BaseField(p, names)
+        spec = InseparableExtensionSpec.of((ratfunc_from_text(base.field, a), n) for a, n in entries)
+        cases.append((FieldTower(base), spec))
+    return cases
 
 
 # -- random base-field elements ----------------------------------------------

@@ -134,7 +134,15 @@ def schroer_predicted_edim(K: FieldTower, ref: str = BASE) -> int:
 
 
 def differential_is_zero(a: TowerElement) -> bool:
-    """True iff da = 0 over the prime field, i.e. the vector lies in the relation row span."""
+    """True iff da = 0 over the prime field, i.e. the vector lies in the relation row span.
+
+    Without a slot, K = F_p(T) and K^p = F_p(T^p): a reduced fraction lies in
+    it exactly when every exponent of its numerator and denominator is
+    divisible by p.
+    """
+    if not a.tower.algebra.nslots:
+        p = a.tower.p
+        return all(k % p == 0 for c in a.payload.values() for f in (c.num, c.den) for e in f.terms for k in e)
     d = differential_vector(a, PRIME)
     if not any(d):
         return True

@@ -1,15 +1,20 @@
+import functools
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ejump import artin, kaehler
+from ejump.acceptance import structure_oracle_specs
 from ejump.errors import ArityMismatch, CapExceeded
-from ejump.flat import flat_model
-from ejump.instances import random_base_element, random_tower, sqrt_t_tower
-from ejump.tower import BaseField, FieldTower
+from ejump.flat import LinearSolver, flat_model
+from ejump.instances import random_base_element, random_tower, rational_oracle_specs, sqrt_t_tower
+from ejump.tower import BaseField, FieldTower, TowerElement, is_p_power_tower
 
 from .strategies import towers
 
@@ -238,3 +243,99 @@ class TestOracle:
         s = artin.base_change_structure(K, spec)
         p = K.p
         assert s.residue_degree * p ** sum(s.order_exponents) == s.total_extension_degree
+
+
+_workloads_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py"
+)
+workloads = importlib.util.module_from_spec(_workloads_spec)
+sys.modules[_workloads_spec.name] = workloads  # its dataclasses look their module up there
+_workloads_spec.loader.exec_module(workloads)
+
+
+@functools.lru_cache(maxsize=None)
+def fields_pool_towers():
+    """The benchmark's `fields` towers with the radicand of each one's oracle spec."""
+    return tuple((case.tower, case.spec.entries[0][0]) for case in workloads.fields_setup(1))
+
+
+def oracle_specs(group):
+    if group == "fields-pool":
+        return [
+            (K, artin.InseparableExtensionSpec.of([(a, n)])) for K, a in fields_pool_towers() for n in (1, 2)
+        ]
+    if group == "criterion-5":
+        return structure_oracle_specs()
+    return rational_oracle_specs()
+
+
+def fp_t_rank(conc, generators):
+    """Second route: rank over F_p(T) of g * b for every flat basis monomial b of the concrete algebra."""
+    alg = conc.algebra
+    basis = alg.basis()
+    index = {e: i for i, e in enumerate(basis)}
+    solver = LinearSolver(alg.field, len(basis))
+    for g in generators:
+        for b in basis:
+            coeffs = [alg.field.zero] * len(basis)
+            for e, c in alg.mul(g, {b: alg.field.one}).items():
+                coeffs[index[e]] = c
+            solver.add_equation(coeffs, alg.field.zero)
+    return solver.rank
+
+
+class TestOracleRankOverK:
+    @pytest.mark.parametrize("group", ["fields-pool", "criterion-5", "rational"])
+    def test_k_rank_matches_fp_t_count(self, group, monkeypatch):
+        seen = []
+        ideal_rank = artin._ConcreteAlgebra.ideal_rank
+
+        def recording(conc, generators):
+            rank = ideal_rank(conc, generators)
+            seen.append((conc, generators, rank))
+            return rank
+
+        monkeypatch.setattr(artin._ConcreteAlgebra, "ideal_rank", recording)
+        for K, spec in oracle_specs(group):
+            report = artin.verify_structure_oracle(K, spec)
+            ((conc, generators, rank),) = seen
+            seen.clear()
+            assert fp_t_rank(conc, generators) == rank * conc.model.algebra.dimension
+            assert report.quotient_computed == spec.total_degree(K.p) - rank
+            assert report.passed, report.failures()
+
+    def test_rational_specs_are_large_with_two_nilpotents(self):
+        for K, spec in rational_oracle_specs():
+            assert not K.algebra.nslots
+            assert 27 <= spec.total_degree(K.p) <= 125
+            assert artin.base_change_structure(K, spec).edim >= 2
+
+
+def adjoined_radicands(structure):
+    """Each layer the walk adjoined, as its radicand in the tower below it."""
+    L = structure.residue_field
+    names = {name for _, name in structure.adjoined}
+    for level, layer in enumerate(L.layers):
+        if layer.name in names:
+            yield TowerElement(FieldTower(L.base, L.layers[:level]), layer.radicand)
+
+
+class TestWalkAdjoinsNoPthPower:
+    """The walk adjoins a root without `tower_extend`'s check; the check is repeated here."""
+
+    def check(self, K, spec):
+        structure = artin.base_change_structure(K, spec)
+        radicands = list(adjoined_radicands(structure))
+        assert len(radicands) == len(structure.adjoined)
+        for rad in radicands:
+            assert not rad.is_zero and not is_p_power_tower(rad)
+
+    def test_fields_pool(self):
+        for K, a in fields_pool_towers():
+            self.check(K, artin.InseparableExtensionSpec.height_one(K.base))
+            self.check(K, artin.InseparableExtensionSpec.of([(a, 2)]))
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_spec(self, seed):
+        _, K, spec = random_spec(seed)
+        self.check(K, spec)

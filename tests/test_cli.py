@@ -1,9 +1,10 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from ejump import localring
+from ejump import artin, cli, localring
 from ejump.cli import (
     RunOptions,
     emit_report,
@@ -13,6 +14,7 @@ from ejump.cli import (
     run_command,
 )
 from ejump.errors import ParseError, ValidationError
+from ejump.instances import random_tower, sqrt_t_tower
 from ejump.localring import ClosedPoint
 
 DATA = Path(__file__).parent / "data"
@@ -346,3 +348,25 @@ class TestMain:
 
     def test_missing_file(self, capsys):
         assert main(["--input", "/nonexistent/session.txt"]) == 1
+
+
+class TestTowerHeightOne:
+    def test_one_walk_matches_walk_per_exponent(self, monkeypatch):
+        walk = artin.base_change_structure
+        rng = random.Random(18)
+        towers = [sqrt_t_tower(2), sqrt_t_tower(3)]
+        towers += [random_tower(rng, p, d, max_layers=2, dim_budget=8).tower for p in (2, 3) for d in (1, 2) for _ in range(3)]
+        calls = []
+        monkeypatch.setattr(artin, "base_change_structure", lambda *a: calls.append(a) or walk(*a))
+        for K in towers:
+            session = cli.Session(base=K.base, towers={"K": K})
+            for variable in K.base.varnames:
+                args = {"target": "tower", "tower": "K", "variable": variable, "n_max": 4}
+                cmd = cli.Command(1, f"cmd height-one K var {variable} max 4", "height-one", args)
+                calls.clear()
+                result = run_command(session, cmd).result
+                assert len(calls) == 1
+                t = K.base.field.gen_named(variable)
+                spec = artin.InseparableExtensionSpec.of
+                assert result["jumps"] == [walk(K, spec([(t, n)])).edim for n in range(1, 5)]
+                assert result["stable"]

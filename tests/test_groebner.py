@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from ejump.ff_arith import (
     render_poly,
     standard_monomials,
 )
+from ejump.ff_arith.poly import monic
 
 K = FractionField(2, ("t",))
 
@@ -115,3 +117,33 @@ class TestQuotientDim:
     def test_unit_ideal(self):
         krull, vdim = quotient_dim(ideal("x", "x+1", varnames=("x",)))
         assert (krull, vdim) == (-1, 0)
+
+
+
+def random_coefficient_poly(rng):
+    """A polynomial in x, y whose coefficients have denominators and contents over F_2(t)."""
+    coeffs = ("1", "t", "(t + 1)", "t^2", "1/(t + 1)", "t/(t^2 + 1)")
+    terms = [f"{rng.choice(coeffs)}*x^{rng.randint(0, 3)}*y^{rng.randint(0, 2)}" for _ in range(rng.randint(1, 4))]
+    g = mk(" + ".join(terms))
+    return g if not g.is_zero else mk("t*x + 1/(t + 1)")
+
+
+class TestPrincipal:
+    """One nonzero generator: the reduced basis is monic(g), with no S-pair loop."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_monic_generator_without_clearing(self, seed, monkeypatch):
+        from ejump.ff_arith import groebner as gb_module
+
+        rng = random.Random(seed)
+        g = random_coefficient_poly(rng)
+        gens = (g, MultiPoly.zero(K, 2)) if seed % 2 else (g,)
+        # the same ideal with a redundant generator goes through Buchberger's loop
+        expected = groebner_basis(IdealPresentation(K, ("x", "y"), (g, g * mk("x*y + t"))))
+
+        def forbidden(f):
+            raise AssertionError("_clear_denominators called for a principal ideal")
+
+        monkeypatch.setattr(gb_module, "_clear_denominators", forbidden)
+        basis = groebner_basis(IdealPresentation(K, ("x", "y"), gens))
+        assert basis.generators == (monic(g, basis.order),) == expected.generators

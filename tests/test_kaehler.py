@@ -1,13 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ejump import kaehler
 from ejump.errors import ZeroDivisorDetected
+from ejump.flat import p_power_root
+from ejump.instances import random_tower_element
 from ejump.tower import (
     BaseField,
     FieldTower,
     adjoin_p_root,
     algebraic_layer,
+    fresh_name,
     tower_extend,
     transcendental_layer,
 )
@@ -108,3 +114,23 @@ def test_perfect_base_equality(K):
 def test_monotone_chain(K):
     predicted = kaehler.schroer_predicted_edim(K, "base")
     assert 0 <= predicted <= kaehler.pdeg(K, "base")
+
+
+class TestPthPowerWithoutSlots:
+    """K = F_p(T): membership in K^p by exponents, against the Jacobian and the root solver."""
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_kaehler_route(self, seed):
+        rng = random.Random(seed)
+        p = rng.choice((2, 3, 5))
+        K = FieldTower(BaseField(p, ("t1", "t2")[: rng.randint(1, 2)]))
+        for _ in range(rng.randint(0, 2)):
+            K = tower_extend(K, transcendental_layer(fresh_name(K, "y")))
+        x, y = random_tower_element(rng, K), random_tower_element(rng, K)
+        candidates = [K.zero, K.from_int(rng.randint(1, p - 1)), x**p, x, x**p * y]
+        if not y.is_zero:
+            candidates += [x**p / y**p, x / y, x**p / y]
+        for a in candidates:
+            kaehler_route = not any(kaehler.differential_vector(a, kaehler.PRIME))
+            solver_route = a.is_zero or p_power_root(K.algebra, a.payload, 1) is not None
+            assert kaehler.differential_is_zero(a) == kaehler_route == solver_route
