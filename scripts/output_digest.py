@@ -24,6 +24,9 @@ Families:
 - oracle: every field of the structure oracle's report on the `fields` pool
   towers with their oracle radicand at exponents 1 and 2, on criterion 5's
   specs, and on `instances.rational_oracle_specs`.
+- nonreduced: the CLI JSON of two sessions at non-reduced points,
+  ((x^3 + t)^2, y) over F_3(t) and ((x^2 + t)^2 (x + 1), y) over F_2(t), and
+  of the seed-1 `sessions` cases with one generator of their point squared.
 
 The benchmark's workload module supplies the inputs and is only imported.
 """
@@ -140,6 +143,41 @@ def _oracle() -> list:
     return [dataclasses.asdict(artin.verify_structure_oracle(K, spec)) for K, spec in cases]
 
 
+_NON_REDUCED_SESSIONS = tuple(
+    declarations
+    + "cmd edim I P\n"
+    "cmd ecodim I P\n"
+    "cmd ejump I P roots t:1\n"
+    "cmd verify-bounds I P roots t:1\n"
+    "cmd height-one I P var t max 2\n"
+    for declarations in (
+        "base p=3 vars t\n"
+        "ideal I vars x,y : y^2 - x^6 - 2*t*x^3 - t^2\n"
+        "point P : x^6 + 2*t*x^3 + t^2, y\n",
+        "base p=2 vars t\n"
+        "ideal I vars x,y : y^2 + x^5 + x^4 + t^2*x + t^2\n"
+        "point P : x^5 + x^4 + t^2*x + t^2, y\n",
+    )
+)
+
+
+def _square_a_generator(text: str, k: int) -> str:
+    """The session with generator k (mod their number) of its point P squared."""
+    lines = text.splitlines()
+    for j, line in enumerate(lines):
+        if line.startswith("point P : "):
+            gens = line[len("point P : ") :].split(", ")
+            gens[k % len(gens)] = f"({gens[k % len(gens)]})^2"
+            lines[j] = "point P : " + ", ".join(gens)
+    return "\n".join(lines) + "\n"
+
+
+def _nonreduced() -> list:
+    texts = list(_NON_REDUCED_SESSIONS)
+    texts += [_square_a_generator(case.text, k) for k, case in enumerate(workloads.sessions_setup(1))]
+    return [_session_json(text) for text in texts]
+
+
 def _random_poly(rng: random.Random, p: int, arity: int) -> MultiPoly:
     items = [(tuple(rng.randint(0, 3) for _ in range(arity)), rng.randint(1, p - 1)) for _ in range(rng.randint(1, 4))]
     f = MultiPoly.from_terms(PrimeField(p), arity, items)
@@ -199,6 +237,7 @@ FAMILIES = (
     ("ratfuncs", _ratfuncs),
     ("session-pairs", _session_pairs),
     ("oracle", _oracle),
+    ("nonreduced", _nonreduced),
 )
 
 

@@ -570,9 +570,9 @@ def _gf(p: int) -> tuple:
 
 @functools.cache
 def _ext_points(p: int, n: int) -> tuple:
-    """p pseudo-random points of F_{p^2}^n, as codes, from a fixed seed."""
+    """max(p, 8) pseudo-random points of F_{p^2}^n, as codes, from a fixed seed; p is too few for p < 5."""
     rng = random.Random(0)
-    return tuple(tuple(rng.randrange(p * p) for _ in range(n)) for _ in range(p))
+    return tuple(tuple(rng.randrange(p * p) for _ in range(n)) for _ in range(max(p, 8)))
 
 
 def _ext_eval(x, k: int, pt: tuple, p: int, exp: list, log: list) -> int:

@@ -125,6 +125,8 @@ class RatFunc:
         return RatFunc(self.num**n, self.den**n, _normalized=True)
 
     def derivative(self, var: int) -> "RatFunc":
+        if self.is_polynomial:
+            return RatFunc(self.num.derivative(var), self.den, _normalized=True)
         return RatFunc(
             self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
             self.den * self.den,

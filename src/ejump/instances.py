@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import NotAPowerViolation, NotPrime
 from .artin import InseparableExtensionSpec
 from .ff_arith import IdealPresentation, MultiPoly, RatFunc, poly_from_text, ratfunc_from_text
 from .localring import ClosedPoint, adjoin_generator
@@ -23,6 +22,7 @@ from .tower import (
     adjoin_p_root,
     algebraic_layer,
     fresh_name,
+    inseparable_root_layer,
     is_p_power_tower,
     tower_extend,
     transcendental_layer,
@@ -144,7 +144,7 @@ def _eisenstein_pair(rng: random.Random, K: FieldTower) -> FieldTower:
 
 
 def _random_inseparable_layer(rng: random.Random, K: FieldTower, max_exp: int):
-    """Adjoin a verified p-th power root of a small base-field element."""
+    """Adjoin a p-th power root of a small base-field element, tested once by `is_p_power_tower`."""
     base = K.base
     for _ in range(8):
         a = random_base_element(rng, base, allow_fraction=rng.random() < 0.2)
@@ -152,10 +152,8 @@ def _random_inseparable_layer(rng: random.Random, K: FieldTower, max_exp: int):
         if elt.is_zero or is_p_power_tower(elt):
             continue
         e = 1 if max_exp <= 1 or rng.random() < 0.7 else rng.randint(1, max_exp)
-        try:
-            return adjoin_p_root(K, elt, e, name=fresh_name(K, "g")), a
-        except NotAPowerViolation:
-            continue
+        layer = inseparable_root_layer(K, fresh_name(K, "g"), elt, e)
+        return FieldTower(K.base, K.layers + (layer,)), a
     return None, None
 
 
@@ -285,11 +283,10 @@ def random_point(
                     a_poly = MultiPoly.const(field, nvars, a) + MultiPoly.gen(field, nvars, rng.randrange(i))
                 else:
                     a_poly = MultiPoly.const(field, nvars, a)
+                if is_p_power_tower(a_poly.evaluate(images, K.from_base)):
+                    continue
                 u = x**p - a_poly
-            try:
-                K, images = adjoin_generator(K, images, u, i, varnames[i])
-            except NotPrime:
-                continue
+            K, images = adjoin_generator(K, images, u, i, varnames[i])
             break
         else:
             u = x - MultiPoly.const(field, nvars, field.one)

@@ -3,8 +3,9 @@
 A closed point is a maximal ideal in triangular form: u1(x1), u2(x1,x2), ...
 each monic in its main variable.  The residue field is then an explicit
 tower, built one generator at a time by `adjoin_generator`: a linear u_i
-fixes the image of x_i, any other u_i adjoins the layer u_i = 0.  The
-classes of the triangular generators span the cotangent space.  A jump
+fixes the image of x_i, any other u_i adjoins the layer u_i = 0 unchecked;
+`LocalAt` refuses, by P's Jacobian at P, each point with k[x]/P not reduced.
+The classes of the triangular generators span the cotangent space.  A jump
 report reads edim after base change, and both bounds, off Jacobian ranks at
 P itself: of I's generators for edim after, of P's own for the bounds.
 
@@ -45,7 +46,7 @@ from .ff_arith import (
     quotient_dim,
 )
 from .flat import flat_model
-from .tower import BaseField, FieldTower, algebraic_layer, is_p_power_tower, tower_extend
+from .tower import BaseField, FieldTower, algebraic_layer, tower_extend
 
 
 @dataclass(frozen=True)
@@ -102,20 +103,12 @@ def adjoin_generator(K: FieldTower, images: list, u: MultiPoly, i: int, name: st
 
     The coefficients of u in x_i are evaluated at the earlier images.  A linear
     u fixes the image of x_i in K; any other u adjoins the layer u = 0, named
-    `name`, and the earlier images are embedded into it.  A u that is a p-th
-    power in K[x_i] raises NotPrime; no other reducible u is detected here.
+    `name`, and the earlier images are embedded into it.  No u is checked for
+    irreducibility; `LocalAt` refuses a point that is not reduced.
     """
     coeffs = [c.evaluate(images, K.from_base) for c in u.coefficients(i)[:-1]]
     if len(coeffs) == 1:
         return K, images + [-coeffs[0]]
-    p = K.p
-    with _not_prime_on_zero_divisor():
-        if (
-            len(coeffs) % p == 0
-            and all(c.is_zero for k, c in enumerate(coeffs) if k % p)
-            and all(is_p_power_tower(c) for c in coeffs[::p])
-        ):
-            raise NotPrime(f"triangular generator {i + 1} is a p-th power in its main variable {name!r}")
     K = tower_extend(K, algebraic_layer(K, name, coeffs))
     return K, [K.embed(im) for im in images] + [K.gen(name)]
 
@@ -224,9 +217,7 @@ class _Jacobian:
                 ]
             else:
                 polys = [g.derivative(j) for g in self.generators]
-            with _not_prime_on_zero_divisor():
-                column = [f.evaluate(self.images, kappa.from_base).payload for f in polys]
-            self._columns[(kind, j)] = column
+            column = self._columns[(kind, j)] = [f.evaluate(self.images, kappa.from_base).payload for f in polys]
         return column
 
     def corank(self, keep: tuple) -> int:
@@ -255,9 +246,9 @@ class LocalAt:
         _check_compatible(I, P)
         self.I, self.P = I, P
 
-    @cached_property
+    @property
     def residue_tower(self) -> tuple:
-        return self.P.residue_tower()
+        return self._point_jacobian.kappa, self._point_jacobian.images
 
     @cached_property
     def edim(self) -> int:
@@ -289,7 +280,17 @@ class LocalAt:
 
     @cached_property
     def _point_jacobian(self) -> _Jacobian:
-        return _Jacobian(self.P.generators, *self.residue_tower)
+        """P's Jacobian over its residue tower, built first; NotPrime unless k[x]/P is reduced.
+
+        F_p is perfect, so k[x]/P is reduced exactly when [du/dt_j | du/dx_i](P)
+        has rank n at each of its points (Jacobian criterion; Matsumura, §30),
+        as a rank with unit pivots proves.  The t columns join only when the x
+        columns, the theorem's bound, fall short.
+        """
+        jacobian = _Jacobian(self.P.generators, *self.P.residue_tower())
+        if jacobian.corank(()) and (corank := jacobian.corank(tuple(range(self.P.base.d)))):
+            raise NotPrime(f"the point is not reduced: its Jacobian at the point has corank {corank}")
+        return jacobian
 
     def report(self, exponents, strict: bool = False) -> JumpReport:
         """Full before/after report with both proved bounds evaluated.

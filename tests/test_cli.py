@@ -327,6 +327,34 @@ class TestMain:
         assert edim["status"] == "ok" and edim["result"]["value"] == 1
         assert [r["error"]["type"] for r in refused] == ["NotEquidimensional"] * 4
 
+    @pytest.mark.parametrize(
+        "declarations",
+        [
+            # P = ((x^3 + t)^2, y) over F_3(t)
+            "base p=3 vars t\n"
+            "ideal I vars x,y : y^2 - x^6 - 2*t*x^3 - t^2\n"
+            "point P : x^6 + 2*t*x^3 + t^2, y\n",
+            # P = ((x^2 + t)^2 (x + 1), y) over F_2(t)
+            "base p=2 vars t\n"
+            "ideal I vars x,y : y^2 + x^5 + x^4 + t^2*x + t^2\n"
+            "point P : x^5 + x^4 + t^2*x + t^2, y\n",
+        ],
+        ids=["p3", "p2"],
+    )
+    def test_exit_two_on_non_reduced_point(self, declarations, tmp_path, capsys):
+        path = tmp_path / "nonreduced.txt"
+        path.write_text(
+            declarations + "cmd edim I P\n"
+            "cmd ecodim I P\n"
+            "cmd ejump I P roots t:1\n"
+            "cmd verify-bounds I P roots t:1\n"
+            "cmd height-one I P var t max 2\n"
+        )
+        assert main(["--input", str(path), "--format", "json"]) == 2
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["status"] for r in reports] == ["error"] * 5
+        assert [r["error"]["type"] for r in reports] == ["NotPrime"] * 5
+
     def test_strict_flag_passes_on_sound_input(self, tmp_path, capsys):
         path = tmp_path / "ok.txt"
         path.write_text(CUSP_SESSION)

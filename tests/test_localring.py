@@ -320,13 +320,37 @@ class TestJumpReports:
         with pytest.raises(NotPrime):
             localring.ejump_at_point(I, P, (exponent,))
 
-    def test_zero_divisor_in_p_th_power_check_raises_not_prime(self):
-        # x^2 - t^2 is reducible, so checking y^3 + x + t for a cube meets a zero divisor
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "LocalAt",
+            "edim_at_point",
+            "ecodim_at_point",
+            "ejump_at_point",
+            "verify_bounds",
+            "verify_height_one_stability",
+            "classical_jacobian_edim",
+        ],
+    )
+    def test_zero_divisor_point_raises_not_prime_everywhere(self, entry):
+        # x^2 - t^2 is reducible, and y^3 + x + t is the cube y^3 where x = -t,
+        # so k[x]/P is not reduced; a pivot of its Jacobian is a zero divisor
         base = BaseField(3, ("t",))
         vs = ("x", "y")
         gens = tuple(poly_from_text(base.field, vs, g) for g in ("x^2 - t^2", "y^3 + x + t"))
+        P = ClosedPoint(base, vs, gens)
+        I = IdealPresentation(base.field, vs, gens[:1])
+        calls = {
+            "LocalAt": lambda: localring.LocalAt(I, P).residue_tower,
+            "edim_at_point": lambda: edim_at_point(I, P),
+            "ecodim_at_point": lambda: localring.ecodim_at_point(I, P),
+            "ejump_at_point": lambda: localring.ejump_at_point(I, P, (1,)),
+            "verify_bounds": lambda: localring.verify_bounds(I, P, (1,), strict=True),
+            "verify_height_one_stability": lambda: localring.verify_height_one_stability(I, P, "t", 2),
+            "classical_jacobian_edim": lambda: localring.classical_jacobian_edim(I, P),
+        }
         with pytest.raises(NotPrime):
-            ClosedPoint(base, vs, gens).residue_tower()
+            calls[entry]()
 
     def test_mixed_dimension_raises_not_equidimensional(self):
         # a plane x = 0 and a line y = z = 0; P lies on the line only, where
@@ -347,6 +371,44 @@ class TestJumpReports:
         I, P = cusp_char2()
         report = localring.verify_bounds(I, P, {"t": 1}, strict=True)
         assert report.all_satisfied()
+
+
+class TestReducedPointsOnly:
+    """A point is answered only when k[x]/P is reduced, by its Jacobian at P."""
+
+    def test_random_points_accepted_and_squared_generators_refused(self):
+        # squaring one generator keeps the triangular shape but adds a nilpotent
+        for seed in range(300):
+            rng = random.Random(seed)
+            p, d, n = rng.choice((2, 3, 5)), rng.randint(1, 2), rng.randint(1, 3)
+            base = BaseField(p, ("t",) if d == 1 else ("t1", "t2"))
+            P = random_point(rng, base, n)
+            assert edim_at_point(P.ideal(), P) == 0, seed
+            i = rng.randrange(n)
+            gens = P.generators[:i] + (P.generators[i] ** 2,) + P.generators[i + 1 :]
+            Q = ClosedPoint(base, P.varnames, gens)
+            with pytest.raises(NotPrime):
+                edim_at_point(Q.ideal(), Q)
+
+    @pytest.mark.parametrize(
+        "p, gens",
+        [
+            (3, ("x^6 + 2*t*x^3 + t^2", "y")),  # (x^3 + t)^2
+            (2, ("x^5 + x^4 + t^2*x + t^2", "y")),  # (x^2 + t)^2 (x + 1)
+            (5, ("x^2", "y - t")),
+            (2, ("x + t", "y^4 + t^2")),  # (y^2 + t)^2
+        ],
+    )
+    def test_non_reduced_points_refused_before_containment(self, p, gens):
+        base = BaseField(p, ("t",))
+        vs = ("x", "y")
+        P = ClosedPoint(base, vs, tuple(poly_from_text(base.field, vs, g) for g in gens))
+        outside = IdealPresentation(base.field, vs, (poly_from_text(base.field, vs, "x - 1"),))
+        for I in (P.ideal(), outside):
+            with pytest.raises(NotPrime):
+                edim_at_point(I, P)
+            with pytest.raises(NotPrime):
+                localring.ejump_at_point(I, P, (1,))
 
 
 class TestHeightOneStability:

@@ -265,6 +265,33 @@ class TestCoprimeProof:
         assert poly_gcd(a, b) == MultiPoly.from_int(dom, spec["arity"], 1)
         assert not prem_calls
 
+    def test_f2_pair_needs_more_than_p_points(self, monkeypatch):
+        # a*d + c*b and b*d of the seed-298 fractions a/b, c/d of the ratfuncs
+        # digest: 16 terms each, and lc(a*d + c*b) vanishes at the first two
+        # points.  The gcds of their coefficients, in two variables, may still
+        # take the remainder sequence; the pair itself, at level 3, must not.
+        a, b, c, d = (
+            MultiPoly.from_terms(F2, 3, ((e, 1) for e in exps))
+            for exps in (
+                [(1, 2, 3), (3, 0, 2)],
+                [(0, 1, 1), (1, 0, 3), (2, 1, 1), (3, 2, 0)],
+                [(0, 3, 0), (1, 2, 2), (2, 3, 1)],
+                [(1, 0, 1), (2, 3, 0), (2, 3, 1), (3, 1, 2)],
+            )
+        )
+
+        original = poly._prem
+
+        def refuse_level_3(f, g, k, p):
+            if k == 3:
+                raise AssertionError("the pseudo-remainder sequence of the pair ran")
+            return original(f, g, k, p)
+
+        monkeypatch.setattr(poly, "_prem", refuse_level_3)
+        f, g = a * d + c * b, b * d
+        assert len(f.terms) == len(g.terms) == 16
+        assert poly_gcd(f, g) == MultiPoly.from_int(F2, 3, 1)
+
     def test_many_variables_over_the_largest_prime(self, prem_calls):
         # 12 variables over F_101: (101^2)^11 points exceed what a range can index
         dom = PrimeField(poly.MAX_PRIME)

@@ -99,3 +99,17 @@ def test_arithmetic_matches_the_normalizing_constructor(pair):
     assert f - g == RatFunc(f.num * g.den - g.num * f.den, f.den * g.den)
     if not g.is_zero:
         assert f / g == RatFunc(f.num * g.den, f.den * g.num)
+
+
+@given(kernel_operands(), st.integers(0, 2))
+def test_derivative_is_the_quotient_rule(pair, var):
+    # polynomials and constant denominators take the numerator's derivative
+    # directly; general fractions the quotient rule
+    for f in pair:
+        v = var % f.num.arity
+        df = f.derivative(v)
+        assert df == RatFunc(f.num.derivative(v) * f.den - f.num * f.den.derivative(v), f.den * f.den)
+        # (f * b)' = a' for f = a/b, checked by the product rule
+        b = RatFunc.from_poly(f.den)
+        assert df * b + f * RatFunc.from_poly(f.den.derivative(v)) == RatFunc.from_poly(f.num.derivative(v))
+        assert df.is_polynomial or not f.is_polynomial
