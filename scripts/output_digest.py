@@ -27,6 +27,8 @@ Families:
 - nonreduced: the CLI JSON of two sessions at non-reduced points,
   ((x^3 + t)^2, y) over F_3(t) and ((x^2 + t)^2 (x + 1), y) over F_2(t), and
   of the seed-1 `sessions` cases with one generator of their point squared.
+- jet: `localring.classical_jacobian_edim` at `random_bound_instance` and
+  `random_separable_point_instance` seeds 0-59.
 
 The benchmark's workload module supplies the inputs and is only imported.
 """
@@ -49,7 +51,11 @@ import workloads  # noqa: E402
 from ejump import artin, cli, kaehler, localring  # noqa: E402
 from ejump.acceptance import run_all, structure_oracle_specs  # noqa: E402
 from ejump.ff_arith import MultiPoly, PrimeField, RatFunc, poly_gcd, render_ratfunc  # noqa: E402
-from ejump.instances import random_bound_instance, rational_oracle_specs  # noqa: E402
+from ejump.instances import (  # noqa: E402
+    random_bound_instance,
+    random_separable_point_instance,
+    rational_oracle_specs,
+)
 from ejump.tower import p_root_tower  # noqa: E402
 
 
@@ -178,6 +184,15 @@ def _nonreduced() -> list:
     return [_session_json(text) for text in texts]
 
 
+def _jet() -> list:
+    out = []
+    for draw in (random_bound_instance, random_separable_point_instance):
+        for seed in range(60):
+            I, P = draw(random.Random(seed))[:2]
+            out.append((draw.__name__, seed, localring.classical_jacobian_edim(I, P)))
+    return out
+
+
 def _random_poly(rng: random.Random, p: int, arity: int) -> MultiPoly:
     items = [(tuple(rng.randint(0, 3) for _ in range(arity)), rng.randint(1, p - 1)) for _ in range(rng.randint(1, 4))]
     f = MultiPoly.from_terms(PrimeField(p), arity, items)
@@ -238,6 +253,7 @@ FAMILIES = (
     ("session-pairs", _session_pairs),
     ("oracle", _oracle),
     ("nonreduced", _nonreduced),
+    ("jet", _jet),
 )
 
 

@@ -6,11 +6,12 @@ tower, built one generator at a time by `adjoin_generator`: a linear u_i
 fixes the image of x_i, any other u_i adjoins the layer u_i = 0 unchecked;
 `LocalAt` refuses, by P's Jacobian at P, each point with k[x]/P not reduced.
 The classes of the triangular generators span the cotangent space.  A jump
-report reads edim after base change, and both bounds, off Jacobian ranks at
-P itself: of I's generators for edim after, of P's own for the bounds.
+report reads I once, through the values Q(P) of its triangular quotients,
+and P once, through its Jacobian J_P(P); I's Jacobian at P is Q(P) J_P(P),
+so no generator of I is differentiated.
 
 `LocalAt(I, P)` computes each of these pieces at most once: the residue
-tower, the triangular edim, the Krull dimension and the Jacobian columns.  A
+tower, Q(P), the Krull dimension and the columns of J_P(P).  A
 CLI session keeps one per (ideal, point), so its commands about the same
 pair compute it once; each library function builds a fresh one per call, and
 nothing is cached on `ClosedPoint` or `IdealPresentation`.  The second
@@ -23,7 +24,7 @@ variable x_i and an adjoined slot as s_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import artin
 from .errors import (
@@ -163,11 +164,6 @@ def _not_prime_on_zero_divisor():
         raise NotPrime(f"triangular presentation is not prime: {exc}") from exc
 
 
-def _check_compatible(I: IdealPresentation, P: ClosedPoint) -> None:
-    if I.varnames != P.varnames or I.coeff_field != P.field:
-        raise ArityMismatch("ideal and point live in different polynomial rings")
-
-
 def _triangular_quotients(g: MultiPoly, P: ClosedPoint) -> list:
     """q_1..q_n with g = sum q_i u_i, dividing by u_n first and u_1 last.
 
@@ -195,14 +191,16 @@ def _triangular_quotients(g: MultiPoly, P: ClosedPoint) -> list:
 
 
 class _Jacobian:
-    """[dg/dt_j | dg/dx_i](P) over kappa, one row per generator g, evaluated a column at a time.
+    """P's Jacobian J_P(P) = [du/dt_j | du/dx_i](P) over kappa, one row per generator u of P.
 
-    dg/dt_j differentiates the F_p(t) coefficients of g (see `LocalAt.report`).
-    A column is evaluated on first use, and each corank is computed once.
+    du/dt_j differentiates the F_p(t) coefficients of u (see `LocalAt.report`).
+    A column is evaluated on first use; a corank is cached by its kept columns
+    and by whether it took `LocalAt`'s one left factor, Q(P).
     """
 
-    def __init__(self, generators: tuple, kappa: FieldTower, images: list):
-        self.generators, self.kappa, self.images = generators, kappa, images
+    def __init__(self, P: ClosedPoint):
+        self.generators = P.generators
+        self.kappa, self.images = P.residue_tower()
         self._columns: dict = {}
         self._coranks: dict = {}
 
@@ -212,43 +210,54 @@ class _Jacobian:
             n, kappa = len(self.images), self.kappa
             if kind == "t":
                 polys = [
-                    MultiPoly.from_terms(g.dom, n, ((e, c.derivative(j)) for e, c in g.terms.items()))
-                    for g in self.generators
+                    MultiPoly.from_terms(u.dom, n, ((e, c.derivative(j)) for e, c in u.terms.items()))
+                    for u in self.generators
                 ]
             else:
-                polys = [g.derivative(j) for g in self.generators]
+                polys = [u.derivative(j) for u in self.generators]
             column = self._columns[(kind, j)] = [f.evaluate(self.images, kappa.from_base).payload for f in polys]
         return column
 
-    def corank(self, keep: tuple) -> int:
-        """n - rank over kappa of the dg/dt_j columns for j in keep, then every dg/dx_i column."""
-        corank = self._coranks.get(keep)
+    def corank(self, keep: tuple, left: list | None = None) -> int:
+        """n - rank over kappa of left times [du/dt_j for j in keep | every du/dx_i]; no left is the identity."""
+        key = (keep, left is None)
+        corank = self._coranks.get(key)
         if corank is None:
-            n = len(self.images)
+            n, alg = len(self.images), self.kappa.algebra
             columns = [self._column("t", j) for j in keep] + [self._column("x", i) for i in range(n)]
+            if left is not None:
+                columns = [[reduce(alg.add, map(alg.mul, q, column)) for q in left] for column in columns]
             with _not_prime_on_zero_divisor():
-                corank = self._coranks[keep] = n - self.kappa.algebra.rank(list(zip(*columns)))
+                corank = self._coranks[key] = n - alg.rank(list(zip(*columns)))
         return corank
 
 
 class LocalAt:
     """The local ring (k[x]/I)_P, each piece computed at most once, on first use.
 
-    The pieces are the residue tower (kappa, images), the triangular edim, the
-    Krull dimension of I, and the Jacobians at P of I's generators and of P's
-    own.  A failing piece raises again each time it is asked for, so a failing
-    (I, P) fails the same way on every command.  The object holds the only
-    cache: the CLI keeps one per (ideal, point) of a session, and each library
-    wrapper below builds a fresh one per call.
+    The pieces are the residue tower (kappa, images), Q(P), the triangular
+    edim, the Krull dimension of I, and P's Jacobian J_P(P).  A failing piece
+    raises again each time it is asked for, so a failing (I, P) fails the same
+    way on every command.  The object holds the only cache: the CLI keeps one
+    per (ideal, point) of a session, and each library wrapper below builds a
+    fresh one per call.
     """
 
     def __init__(self, I: IdealPresentation, P: ClosedPoint):
-        _check_compatible(I, P)
+        if I.varnames != P.varnames or I.coeff_field != P.field:
+            raise ArityMismatch("ideal and point live in different polynomial rings")
         self.I, self.P = I, P
 
     @property
     def residue_tower(self) -> tuple:
         return self._point_jacobian.kappa, self._point_jacobian.images
+
+    @cached_property
+    def _quotient_values(self) -> list:
+        """Q(P): one row (q_1(P), .., q_n(P)) over kappa per generator g = sum q_i u_i of I."""
+        kappa, images = self.residue_tower
+        quotients = [_triangular_quotients(g, self.P) for g in self.I.generators]
+        return [[q.evaluate(images, kappa.from_base).payload for q in qs] for qs in quotients]
 
     @cached_property
     def edim(self) -> int:
@@ -257,13 +266,11 @@ class LocalAt:
         k[x]_P is regular of dimension n and u_1..u_n generate P, so the classes
         [u_i] are a kappa-basis of P/P^2 (Matsumura, Commutative Ring Theory,
         §14).  Each generator g = sum q_i u_i of I has class sum q_i(P) [u_i],
-        hence edim = n - rank over kappa of the values q_i(P).
+        hence edim = n - rank over kappa of Q(P).
         """
         kappa, images = self.residue_tower
-        quotients = [_triangular_quotients(g, self.P) for g in self.I.generators]
         with _not_prime_on_zero_divisor():
-            rows = [[q.evaluate(images, kappa.from_base).payload for q in qs] for qs in quotients]
-            return len(images) - kappa.algebra.rank(rows)
+            return len(images) - kappa.algebra.rank(self._quotient_values)
 
     @cached_property
     def krull_dim(self) -> int:
@@ -275,10 +282,6 @@ class LocalAt:
         return _ecodim(self.edim, self.krull_dim)
 
     @cached_property
-    def _ideal_jacobian(self) -> _Jacobian:
-        return _Jacobian(self.I.generators, *self.residue_tower)
-
-    @cached_property
     def _point_jacobian(self) -> _Jacobian:
         """P's Jacobian over its residue tower, built first; NotPrime unless k[x]/P is reduced.
 
@@ -287,7 +290,7 @@ class LocalAt:
         as a rank with unit pivots proves.  The t columns join only when the x
         columns, the theorem's bound, fall short.
         """
-        jacobian = _Jacobian(self.P.generators, *self.P.residue_tower())
+        jacobian = _Jacobian(self.P)
         if jacobian.corank(()) and (corank := jacobian.corank(tuple(range(self.P.base.d)))):
             raise NotPrime(f"the point is not reduced: its Jacobian at the point has corank {corank}")
         return jacobian
@@ -297,15 +300,19 @@ class LocalAt:
 
         F_p is perfect, so m/m^2 of O = (k[x]/I)_P embeds in Omega_{O/F_p} (x)
         kappa with cokernel Omega_{kappa/F_p} of dimension d (Matsumura,
-        Thm 25.2): edim O = n - rank [dg/dt_j | dg/dx_i](P).  Over k', dt_j = 0
+        Thm 25.2): edim O = n - rank [dg/dt_j | dg/dx_i](P).  Every u_i vanishes
+        at P, so dg(P) = sum q_i(P) du_i(P): that matrix is Q(P) J_P(P), of the
+        rank of Q(P) (edim before), as J_P(P) has rank n.  Over k', dt_j = 0
         when e_j >= 1, so edim after drops those columns, and the rank stays one
         over kappa.  k'/k is algebraic, so the Krull dimension is unchanged.  The
         same count with I = P bounds the jump: the lemma's edim(kappa (x)_k k')
         keeps the columns edim after keeps, and the theorem's pdeg - trdeg of
         kappa/k is dim Omega_{kappa/k} = n - rank [du/dx_i](P), as kappa/k is
-        finite.  A rank over more columns is never smaller, so the theorem's
-        inequality holds by construction; `acceptance.criterion_3_bound_chain`
-        recounts both bounds by the base-change walk and by Kaehler ranks.
+        finite.  So three inequalities hold by construction: a rank over more
+        columns is never smaller (theorem), rank Q A <= rank Q (nonnegative),
+        and Sylvester's rank Q A >= rank Q + rank A - n (lemma);
+        `acceptance.criterion_3_bound_chain` recounts both bounds by the
+        base-change walk and by Kaehler ranks.
         In strict mode a violated inequality raises BoundViolated.
         """
         base = self.P.base
@@ -314,7 +321,7 @@ class LocalAt:
         dim = self.krull_dim
         ecodim_before = _ecodim(edim_before, dim)
         keep = tuple(j for j, e in enumerate(exponents) if e == 0)
-        edim_after = self._ideal_jacobian.corank(keep)
+        edim_after = self._point_jacobian.corank(keep, self._quotient_values)
         bound_lemma = self._point_jacobian.corank(keep)
         bound_theorem = self._point_jacobian.corank(())
 
@@ -377,11 +384,6 @@ def edim_at_point(I: IdealPresentation, P: ClosedPoint) -> int:
     return LocalAt(I, P).edim
 
 
-def ecodim_at_point(I: IdealPresentation, P: ClosedPoint) -> int:
-    """edim minus the Krull dimension of the quotient (equidimensionality assumed)."""
-    return LocalAt(I, P).ecodim
-
-
 # -- base change ------------------------------------------------------------
 
 
@@ -428,9 +430,10 @@ def base_change_point(I: IdealPresentation, P: ClosedPoint, exponents) -> tuple:
     """Rewrite (I, P) over k' = k(t_i^(1/p^e_i)); returns (I', P').
 
     The second route to a jump report's edim after: P' is triangularized from
-    P and the walk's nilpotent roots by a lex Buchberger basis.
+    P and the walk's nilpotent roots by a lex Buchberger basis.  kappa comes
+    from `LocalAt`, so a point with k[x]/P not reduced raises NotPrime.
     """
-    _check_compatible(I, P)
+    kappa, _ = LocalAt(I, P).residue_tower
     base = P.base
     exponents = normalize_exponents(base, exponents)
     if all(e == 0 for e in exponents):
@@ -450,7 +453,6 @@ def base_change_point(I: IdealPresentation, P: ClosedPoint, exponents) -> tuple:
 
     entry_var = [i for i, e in enumerate(exponents) if e >= 1]
     with _not_prime_on_zero_divisor():
-        kappa, _ = P.residue_tower()
         spec = artin.InseparableExtensionSpec.of([(base.field.gen(i), exponents[i]) for i in entry_var])
         structure = artin.base_change_structure(kappa, spec)
 
@@ -519,11 +521,6 @@ def ejump_at_point(I: IdealPresentation, P: ClosedPoint, exponents) -> JumpRepor
     return LocalAt(I, P).report(exponents)
 
 
-def verify_bounds(I: IdealPresentation, P: ClosedPoint, exponents, strict: bool = False) -> JumpReport:
-    """Evaluate every inequality; in strict mode a violation raises BoundViolated."""
-    return LocalAt(I, P).report(exponents, strict)
-
-
 def verify_height_one_stability(
     I: IdealPresentation, P: ClosedPoint, variable: str, n_max: int
 ) -> StabilityReport:
@@ -537,4 +534,5 @@ def classical_jacobian_edim(I: IdealPresentation, P: ClosedPoint) -> int:
     Agrees with edim_at_point exactly at points with separable residue field;
     at inseparable points the naive Jacobian misses cotangent directions.
     """
-    return LocalAt(I, P)._ideal_jacobian.corank(())
+    local = LocalAt(I, P)
+    return local._point_jacobian.corank((), local._quotient_values)

@@ -1,9 +1,6 @@
 import functools
-import importlib.util
 import itertools
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -16,6 +13,7 @@ from ejump.flat import LinearSolver, flat_model
 from ejump.instances import random_base_element, random_tower, rational_oracle_specs, sqrt_t_tower
 from ejump.tower import BaseField, FieldTower, TowerElement, is_p_power_tower
 
+from .benchmark import workloads
 from .strategies import towers
 
 
@@ -243,14 +241,6 @@ class TestOracle:
         s = artin.base_change_structure(K, spec)
         p = K.p
         assert s.residue_degree * p ** sum(s.order_exponents) == s.total_extension_degree
-
-
-_workloads_spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py"
-)
-workloads = importlib.util.module_from_spec(_workloads_spec)
-sys.modules[_workloads_spec.name] = workloads  # its dataclasses look their module up there
-_workloads_spec.loader.exec_module(workloads)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,10 +1,14 @@
+import functools
+import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ejump import artin, kaehler, localring
+from ejump import artin, cli, kaehler, localring
 from ejump.acceptance import _buchberger_edim
 from ejump.errors import (
     ArityMismatch,
@@ -14,7 +18,7 @@ from ejump.errors import (
     TriangularizationFailed,
     ZeroDivisorDetected,
 )
-from ejump.ff_arith import IdealPresentation, MultiPoly, poly_from_text, render_poly
+from ejump.ff_arith import IdealPresentation, MultiPoly, RatFunc, poly_from_text, render_poly
 from ejump.instances import (
     cusp_char2,
     cusp_char3,
@@ -24,6 +28,8 @@ from ejump.instances import (
 )
 from ejump.localring import ClosedPoint, base_change_point, edim_at_point
 from ejump.tower import BaseField
+
+from .benchmark import workloads
 
 
 def simple_point(p=2, d=("t",), varnames=("y", "x"), gens=("y", "x^2 + t")):
@@ -88,7 +94,7 @@ class TestEdimExamples:
     def test_cusp_point_before(self):
         I, P = cusp_char2()
         assert edim_at_point(I, P) == 1
-        assert localring.ecodim_at_point(I, P) == 0
+        assert localring.LocalAt(I, P).ecodim == 0
 
     def test_line_point(self):
         base = BaseField(2, ("t",))
@@ -97,7 +103,7 @@ class TestEdimExamples:
         I = IdealPresentation(field, ("x",), (MultiPoly.zero(field, 1),))
         P = ClosedPoint(base, ("x",), (x,))
         assert edim_at_point(I, P) == 1
-        assert localring.ecodim_at_point(I, P) == 0
+        assert localring.LocalAt(I, P).ecodim == 0
 
     def test_plane_origin(self):
         base = BaseField(3, ("t",))
@@ -107,7 +113,7 @@ class TestEdimExamples:
         I = IdealPresentation(field, ("x", "y"), (MultiPoly.zero(field, 2),))
         P = ClosedPoint(base, ("x", "y"), (x, y))
         assert edim_at_point(I, P) == 2
-        assert localring.ecodim_at_point(I, P) == 0
+        assert localring.LocalAt(I, P).ecodim == 0
 
     def test_not_contained(self):
         base = BaseField(2, ("t",))
@@ -325,9 +331,9 @@ class TestJumpReports:
         [
             "LocalAt",
             "edim_at_point",
-            "ecodim_at_point",
+            "LocalAt.ecodim",
             "ejump_at_point",
-            "verify_bounds",
+            "LocalAt.report-strict",
             "verify_height_one_stability",
             "classical_jacobian_edim",
         ],
@@ -343,9 +349,9 @@ class TestJumpReports:
         calls = {
             "LocalAt": lambda: localring.LocalAt(I, P).residue_tower,
             "edim_at_point": lambda: edim_at_point(I, P),
-            "ecodim_at_point": lambda: localring.ecodim_at_point(I, P),
+            "LocalAt.ecodim": lambda: localring.LocalAt(I, P).ecodim,
             "ejump_at_point": lambda: localring.ejump_at_point(I, P, (1,)),
-            "verify_bounds": lambda: localring.verify_bounds(I, P, (1,), strict=True),
+            "LocalAt.report-strict": lambda: localring.LocalAt(I, P).report((1,), strict=True),
             "verify_height_one_stability": lambda: localring.verify_height_one_stability(I, P, "t", 2),
             "classical_jacobian_edim": lambda: localring.classical_jacobian_edim(I, P),
         }
@@ -361,7 +367,7 @@ class TestJumpReports:
         I = IdealPresentation(base.field, vs, tuple(poly_from_text(base.field, vs, g) for g in ("x*y", "x*z")))
         assert edim_at_point(I, P) == 1
         with pytest.raises(NotEquidimensional):
-            localring.ecodim_at_point(I, P)
+            localring.LocalAt(I, P).ecodim
         with pytest.raises(NotEquidimensional):
             localring.ejump_at_point(I, P, (1,))
         with pytest.raises(NotEquidimensional):
@@ -369,7 +375,7 @@ class TestJumpReports:
 
     def test_strict_mode_passes_on_sound_input(self):
         I, P = cusp_char2()
-        report = localring.verify_bounds(I, P, {"t": 1}, strict=True)
+        report = localring.LocalAt(I, P).report({"t": 1}, strict=True)
         assert report.all_satisfied()
 
 
@@ -410,6 +416,15 @@ class TestReducedPointsOnly:
             with pytest.raises(NotPrime):
                 localring.ejump_at_point(I, P, (1,))
 
+    def test_base_change_point_refuses_a_non_reduced_point(self):
+        # the second route of criteria 2 and 3 once returned ((x^3 + s^3)^2, y) here
+        base = BaseField(3, ("t",))
+        vs = ("x", "y")
+        P = ClosedPoint(base, vs, tuple(poly_from_text(base.field, vs, g) for g in ("x^6 + 2*t*x^3 + t^2", "y")))
+        I = IdealPresentation(base.field, vs, (poly_from_text(base.field, vs, "y^2 - x^6 - 2*t*x^3 - t^2"),))
+        with pytest.raises(NotPrime):
+            base_change_point(I, P, {"t": 1})
+
 
 class TestHeightOneStability:
     def test_cusp_fixtures(self):
@@ -419,9 +434,6 @@ class TestHeightOneStability:
             assert report.stable
 
     def test_separable_point_never_jumps(self):
-        from ejump.ff_arith import poly_from_text
-        from ejump.tower import BaseField
-
         base = BaseField(5, ("t",))
         field = base.field
         varnames = ("x", "y")
@@ -462,6 +474,99 @@ class TestJetOracle:
         rng = random.Random(seed)
         I, P = random_separable_point_instance(rng)
         assert edim_at_point(I, P) == localring.classical_jacobian_edim(I, P)
+
+    def test_ideal_outside_the_point_raises_not_contained(self):
+        base = BaseField(2, ("t",))
+        I = IdealPresentation(base.field, ("x",), (poly_from_text(base.field, ("x",), "x + 1"),))
+        P = ClosedPoint(base, ("x",), (MultiPoly.gen(base.field, 1, 0),))
+        with pytest.raises(NotContained):
+            localring.classical_jacobian_edim(I, P)
+
+
+def direct_jacobian(generators, kappa, images, d):
+    """[dg/dt_j | dg/dx_i](P) over kappa, one row per g, each derivative of g itself evaluated at P."""
+    n = len(images)
+
+    def at_point(f):
+        return f.evaluate(images, kappa.from_base).payload
+
+    rows = []
+    for g in generators:
+        t_part = [MultiPoly.from_terms(g.dom, n, ((e, c.derivative(j)) for e, c in g.terms.items())) for j in range(d)]
+        rows.append([at_point(f) for f in t_part + [g.derivative(i) for i in range(n)]])
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def session_points():
+    """(I, P) of every seed-1 `sessions` benchmark case."""
+    sessions = [cli.parse_session(case.text) for case in workloads.sessions_setup(1)]
+    return [(session.ideals["I"], session.points["P"]) for session in sessions]
+
+
+def jacobian_case(case):
+    if case.startswith("session-"):
+        return session_points()[int(case.split("-")[1])]
+    return report_case(case)[:2]
+
+
+class TestIdealJacobianFromPoint:
+    """I's Jacobian at P is Q(P) J_P(P); the direct Jacobian of I is the second route."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["cusp_char2", "cusp_char3"] + [f"bound-{seed}" for seed in range(60)] + [f"session-{k}" for k in range(38)],
+    )
+    def test_product_and_coranks_match_the_direct_jacobian(self, case):
+        I, P = jacobian_case(case)
+        local = localring.LocalAt(I, P)
+        kappa, images = local.residue_tower
+        alg, n, d = kappa.algebra, len(images), P.base.d
+        ideal = direct_jacobian(I.generators, kappa, images, d)
+        point = direct_jacobian(P.generators, kappa, images, d)
+        for g_row, q_row in zip(ideal, local._quotient_values):
+            for c, entry in enumerate(g_row):
+                product = alg.zero()
+                for q, u_row in zip(q_row, point):
+                    product = alg.add(product, alg.mul(q, u_row[c]))
+                assert entry == product, (case, c)
+        for size in range(d + 1):
+            for keep in itertools.combinations(range(d), size):
+                direct = n - alg.rank([[row[j] for j in keep] + row[d:] for row in ideal])
+                exponents = tuple(0 if j in keep else 1 for j in range(d))
+                assert local.report(exponents).edim_after == direct, (case, keep)
+                if not keep:
+                    assert localring.classical_jacobian_edim(I, P) == direct, case
+                if size == d:
+                    assert local.edim == direct, case
+
+    def test_only_the_points_generators_are_differentiated(self, monkeypatch):
+        seen = []
+        for cls in (MultiPoly, RatFunc):
+
+            def recording(self, var, _real=cls.derivative):
+                if sys._getframe(1).f_globals.get("__name__") == "ejump.localring":
+                    seen.append(self)
+                return _real(self, var)
+
+            monkeypatch.setattr(cls, "derivative", recording)
+        I, P, _ = random_bound_instance(random.Random(4))
+        assert P.base.d == 2
+        localring.ejump_at_point(I, P, (1, 0))  # keeps the t2 column
+        points = [P]
+        for fixture in (cusp_char2, cusp_char3):
+            I, P = fixture()
+            localring.classical_jacobian_edim(I, P)
+            points.append(P)
+        session = cli.parse_session((Path(__file__).parent.parent / "scripts" / "cusp_session.txt").read_text())
+        for cmd in session.commands:
+            assert cli.run_command(session, cmd, cli.RunOptions()).status == "ok"
+        points.append(session.points["P"])
+        generators = [u for P in points for u in P.generators]
+        coefficients = [c for u in generators for c in u.terms.values()]
+        assert any(isinstance(f, RatFunc) for f in seen) and any(isinstance(f, MultiPoly) for f in seen)
+        for f in seen:
+            assert any(f == g for g in (coefficients if isinstance(f, RatFunc) else generators)), f
 
 
 @given(st.integers(0, 2**32 - 1))
