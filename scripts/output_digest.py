@@ -29,6 +29,8 @@ Families:
   of the seed-1 `sessions` cases with one generator of their point squared.
 - jet: `localring.classical_jacobian_edim` at `random_bound_instance` and
   `random_separable_point_instance` seeds 0-59.
+- tower-heights: the CLI JSON of `height-one K var v max 4` for every base
+  variable v of every seed-1 and seed-2 `fields` and `sessions` pool tower.
 
 The benchmark's workload module supplies the inputs and is only imported.
 """
@@ -193,6 +195,21 @@ def _jet() -> list:
     return out
 
 
+def _tower_heights() -> list:
+    towers = []
+    for seed in (1, 2):
+        towers += [case.tower for case in workloads.fields_setup(seed)]
+        towers += [case.tower for case in workloads.sessions_setup(seed) if case.tower is not None]
+    out = []
+    for K in towers:
+        session = cli.Session(base=K.base, towers={"K": K})
+        for v in K.base.varnames:
+            args = {"target": "tower", "tower": "K", "variable": v, "n_max": 4}
+            cmd = cli.Command(1, f"cmd height-one K var {v} max 4", "height-one", args)
+            out.append(cli.emit_report(cli.run_command(session, cmd), "json").decode())
+    return out
+
+
 def _random_poly(rng: random.Random, p: int, arity: int) -> MultiPoly:
     items = [(tuple(rng.randint(0, 3) for _ in range(arity)), rng.randint(1, p - 1)) for _ in range(rng.randint(1, 4))]
     f = MultiPoly.from_terms(PrimeField(p), arity, items)
@@ -254,6 +271,7 @@ FAMILIES = (
     ("oracle", _oracle),
     ("nonreduced", _nonreduced),
     ("jet", _jet),
+    ("tower-heights", _tower_heights),
 )
 
 

@@ -14,9 +14,12 @@ same field, and `p_power_root` decides that exactly.
 The verification oracle rebuilds the concrete finite-dimensional algebra
 K[z1..zr]/(zi^(p^ni) - ai) and checks the claimed structure clause by
 clause: total dimension, exact nilpotency indices, and the dimension over K
-of the quotient by the claimed nilpotents, one rank over K.  Residue-field
-elements enter that algebra through `FlatModel.flatten` of the residue
-field, with each adjoined layer's slot moved to its entry's z slot.
+of the quotient by the claimed nilpotents, one rank over K.  That algebra is
+`FieldTower.algebra` of K with one unchecked root layer zi^(p^ni) = ai per
+entry, built as the walk builds its layers; ai may be a p-th power in K, so
+this tower need not be a field, and only its algebra is used.  A
+residue-field element enters it as its vector, with each adjoined layer's
+slot moved to its entry's z slot.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import ArityMismatch, CapExceeded
 from .ff_arith import RatFunc
-from .flat import FlatAlgebra, FlatLayer, LinearSolver, flat_model, p_power_root
+from .flat import LinearSolver, p_power_root
 from .tower import (
     BaseField,
     FieldTower,
@@ -195,74 +198,50 @@ class StructureReport:
         return out
 
 
-class _ConcreteAlgebra:
-    """K[z1..zr]/(zi^(p^ni) - ai) over the flat model of K."""
+def _residue_vector(structure: TruncatedStructure, elt: TowerElement) -> dict:
+    """Image in K[z] of a residue-field element, with adjoined generators sent to z-monomials.
 
-    def __init__(self, K: FieldTower, spec: InseparableExtensionSpec):
-        self.model = flat_model(K)
-        base_alg = self.model.algebra
-        pad = len(spec.entries)
-        layers = [
-            FlatLayer(l.name, l.degree, {e + (0,) * pad: c for e, c in l.reduction.items()})
-            for l in base_alg.layers
-        ]
-        self.k_slots = len(layers)
-        nslots = self.k_slots + pad
-        for i, (a, n) in enumerate(spec.entries):
-            reduction = {(0,) * nslots: a.extend_arity(base_alg.field.arity)}
-            layers.append(FlatLayer(f"z{i + 1}", K.p**n, reduction))
-        self.algebra = FlatAlgebra(base_alg.field, layers)
-        self.pad = pad
+    The residue field has the slots of K followed by one slot per adjoined
+    layer, in order; adjoined exponents stay below the layer degree p^(n-m),
+    hence below p^n, so moving them to z slots needs no reduction.
+    """
+    L = structure.residue_field
+    k = structure.base_tower.algebra.nslots
+    pad = len(structure.spec.entries)
+    z_slots = [k + idx for idx, _ in structure.adjoined]
+    out = {}
+    for e, c in L.embed(elt).payload.items():
+        exp = list(e[:k]) + [0] * pad
+        for slot, power in zip(z_slots, e[k:]):
+            exp[slot] = power
+        out[tuple(exp)] = c
+    return out
 
-    def z_gen(self, entry_index: int, power: int = 1) -> dict:
-        return self.algebra.gen(self.k_slots + entry_index, power)
 
-    def scalar_base(self, a: RatFunc) -> dict:
-        return self.algebra.scalar(a.extend_arity(self.algebra.field.arity))
+def _ideal_rank(K: FieldTower, alg, generators: list) -> int:
+    """dim_K of the ideal of A = K[z]/(zi^(p^ni) - ai) that the generators span.
 
-    def eval_residue_element(self, structure: TruncatedStructure, elt: TowerElement) -> dict:
-        """Image of a residue-field element with adjoined generators sent to z-monomials.
-
-        The flat model of the residue field has the slots of K followed by one
-        slot per adjoined layer, in order; adjoined exponents stay below the
-        layer degree p^(n-m), hence below p^n, so moving them to z slots needs
-        no reduction.
-        """
-        L = structure.residue_field
-        vec = flat_model(L).flatten(L.embed(elt))
-        z_slots = [self.k_slots + idx for idx, _ in structure.adjoined]
-        out = {}
-        for e, c in vec.items():
-            exp = list(e[: self.k_slots]) + [0] * self.pad
-            for slot, power in zip(z_slots, e[self.k_slots :]):
-                exp[slot] = power
-            out[tuple(exp)] = c
-        return out
-
-    def ideal_rank(self, generators: list) -> int:
-        """dim_K of the ideal of A = K[z]/(zi^(p^ni) - ai) that the generators span.
-
-        An ideal of a K-algebra is a K-subspace and the z-monomials are a
-        K-basis of A, so the rows g * z^beta, one K-entry per z-monomial
-        (highest first), span it.  The rank is `FlatAlgebra.rank` over K's flat
-        algebra, or a `LinearSolver` rank of the scalar rows when K has no slot.
-        """
-        alg, k = self.algebra, self.k_slots
-        z_basis = list(itertools.product(*(range(l.degree) for l in alg.layers[k:])))[::-1]
-        column = {beta: j for j, beta in enumerate(z_basis)}
-        rows = []
-        for g in generators:
-            for beta in z_basis:
-                row = [{} for _ in z_basis]
-                for e, c in alg.mul(g, {(0,) * k + beta: alg.field.one}).items():
-                    row[column[e[k:]]][e[:k]] = c
-                rows.append(row)
-        if k:
-            return self.model.algebra.rank(rows)
-        solver = LinearSolver(alg.field, len(z_basis))
-        for row in rows:
-            solver.add_equation([entry.get((), alg.field.zero) for entry in row], alg.field.zero)
-        return solver.rank
+    An ideal of a K-algebra is a K-subspace and the z-monomials are a
+    K-basis of A, so the rows g * z^beta, one K-entry per z-monomial
+    (highest first), span it.  The rank is `FlatAlgebra.rank` over K's flat
+    algebra, or a `LinearSolver` rank of the scalar rows when K has no slot.
+    """
+    k = K.algebra.nslots
+    z_basis = list(itertools.product(*(range(l.degree) for l in alg.layers[k:])))[::-1]
+    column = {beta: j for j, beta in enumerate(z_basis)}
+    rows = []
+    for g in generators:
+        for beta in z_basis:
+            row = [{} for _ in z_basis]
+            for e, c in alg.mul(g, {(0,) * k + beta: alg.field.one}).items():
+                row[column[e[k:]]][e[:k]] = c
+            rows.append(row)
+    if k:
+        return K.algebra.rank(rows)
+    solver = LinearSolver(alg.field, len(z_basis))
+    for row in rows:
+        solver.add_equation([entry.get((), alg.field.zero) for entry in row], alg.field.zero)
+    return solver.rank
 
 
 def verify_structure_oracle(
@@ -284,18 +263,20 @@ def verify_structure_oracle(
     total = spec.total_degree(p)
     if total > cap:
         raise CapExceeded(f"algebra dimension {total} exceeds cap {cap}")
-    conc = _ConcreteAlgebra(K, spec)
-    alg = conc.algebra
-    dim_k = alg.dimension // conc.model.algebra.dimension
-    dimension_ok = dim_k == total
+    # K with one unchecked root layer per entry; not always a field (see the module docstring)
+    C = K
+    for i, (a, n) in enumerate(spec.entries):
+        C = FieldTower(K.base, C.layers + (inseparable_root_layer(C, f"z{i + 1}", C.from_base(a), n),))
+    alg, k = C.algebra, K.algebra.nslots
+    dimension_ok = alg.dimension // K.algebra.dimension == total
 
     eps_vecs = []
     checks = []
     for rec in structure.nilpotents:
         a, _ = spec.entries[rec.entry_index]
         m = rec.order_exponent
-        root_vec = conc.eval_residue_element(structure, rec.root)
-        target = conc.scalar_base(a)
+        root_vec = _residue_vector(structure, rec.root)
+        target = C.from_base(a).payload
         corrected = False
         root_q = alg.frobenius(root_vec, p**m)
         if not alg.eq(root_q, target):
@@ -303,7 +284,7 @@ def verify_structure_oracle(
             if w is not None:
                 root_vec = alg.add(root_vec, w)
                 corrected = True
-        eps = alg.sub(root_vec, conc.z_gen(rec.entry_index, rec.z_power))
+        eps = alg.sub(root_vec, alg.gen(k + rec.entry_index, rec.z_power))
         # order exponents are >= 1, so p^m - 1 >= 1 and exactness means:
         # eps^(p^m) = 0 while eps^(p^m - 1) != 0
         vanishes = alg.is_zero(alg.frobenius(eps, p**m))
@@ -311,7 +292,7 @@ def verify_structure_oracle(
         checks.append(NilpotentCheck(rec.entry_index, m, vanishes and sharp, corrected))
         eps_vecs.append(eps)
 
-    rank = conc.ideal_rank(eps_vecs)
+    rank = _ideal_rank(K, alg, eps_vecs)
     quotient_expected = structure.residue_degree
     return StructureReport(
         dimension_expected=total,

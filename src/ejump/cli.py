@@ -57,6 +57,7 @@ from .tower import (
     TowerElement,
     algebraic_layer,
     inseparable_root_layer,
+    is_p_power_tower,
     tower_extend,
     transcendental_layer,
 )
@@ -503,11 +504,11 @@ def _execute(session: Session, cmd: Command, options: RunOptions) -> dict:
         }
     if name == "height-one" and cmd.args["target"] == "tower":
         K = session.towers[cmd.args["tower"]]
-        rad = K.base.field.gen_named(cmd.args["variable"])
+        variable = cmd.args["variable"]
         # the walk of the one entry (t, n) has edim 1 exactly when t is in K^p,
-        # for every n >= 1, so the n = 1 walk gives every jump
-        edim = artin.base_change_structure(K, artin.InseparableExtensionSpec.of([(rad, 1)])).edim
-        return {"variable": cmd.args["variable"], "jumps": [edim] * cmd.args["n_max"], "stable": True}
+        # for every n >= 1, and is_p_power_tower decides that by dt = 0
+        jump = int(is_p_power_tower(K.base_var(variable)))
+        return localring.StabilityReport(variable, (jump,) * cmd.args["n_max"], True).to_dict()
     if "point" in cmd.args:
         local = _local_ring(session, cmd.args["ideal"], cmd.args["point"])
         if name == "edim":

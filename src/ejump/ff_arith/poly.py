@@ -22,7 +22,8 @@ its degree (lc(g) divides lc(a)) and divides both images; so an image gcd of
 at most p pseudo-random ones decides, and any other outcome runs the
 sequence, as for x and x + t^(p^2) - t, which have the image x at every point
 of F_{p^2}.  Points of F_p alone are not enough: x0^p = x0 there, so x and
-x + t^p - t already have the image x at every one of them.
+x + t^p - t already have the image x at every one of them.  `divexact` is
+the same kernel's exact division, `_div`.
 """
 
 from __future__ import annotations
@@ -387,30 +388,6 @@ def _fp_add(a: dict, b: dict, sign: int, p: int) -> dict:
     return terms
 
 
-def _exp_divides(small: tuple, big: tuple) -> bool:
-    return all(s <= b for s, b in zip(small, big))
-
-
-def divexact(a: MultiPoly, b: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
-    """Quotient a/b when the division is exact; raises otherwise."""
-    if b.is_zero:
-        raise DivByZero("division by the zero polynomial")
-    dom = a.dom
-    q = MultiPoly.zero(dom, a.arity)
-    r = a
-    eb, cb = b.leading(order)
-    while not r.is_zero:
-        er, cr = r.leading(order)
-        if not _exp_divides(eb, er):
-            raise InternalInvariantViolation("exact polynomial division left a remainder")
-        exp = tuple(x - y for x, y in zip(er, eb))
-        c = dom.div(cr, cb)
-        t = MultiPoly(dom, a.arity, {exp: c})
-        q = q + t
-        r = r - b.mul_term(exp, c)
-    return q
-
-
 def monic(a: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
     if a.is_zero:
         return a
@@ -723,6 +700,17 @@ def _sparse(x, support: list, dom, arity: int) -> MultiPoly:
 
     walk(x, len(support))
     return MultiPoly(dom, arity, terms)
+
+
+def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Quotient a/b over F_p by the kernel's `_div`, over the union of both supports; raises unless b | a."""
+    if b.is_zero:
+        raise DivByZero("division by the zero polynomial")
+    if a.is_zero:
+        return a
+    support = sorted(a.support_vars() | b.support_vars())
+    q = _div(_dense(a, support), _dense(b, support), len(support), a.dom.p)
+    return _sparse(q, support, a.dom, a.arity)
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:

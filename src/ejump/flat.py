@@ -4,9 +4,8 @@ A tower K is a module over k0 = F_p(T), where T holds the base variables
 together with every transcendental generator; the algebraic generators index
 a monomial basis with one triangular monic reduction per layer.
 `FieldTower.algebra` builds that `FlatAlgebra` from the layers, and a tower
-element's payload is its vector in it.  The same container also models the
-truncated algebras K[z]/(z^q - a) needed by the base-change oracle, since
-those are just extra reduction layers.
+element's payload is its vector in it.  The oracle's truncated algebras
+K[z]/(z^q - a) are those of towers too, whose root layers need not give a field.
 
 Every q-th power with q = p^r is `FlatAlgebra.frobenius`: a coefficient
 c(T) goes to c(T^q) and a basis monomial to its q-th power, kept on the
@@ -24,10 +23,10 @@ total: no presentation is ever rejected.
 
 `FlatModel` pairs a tower with its algebra.  `FlatModel.flatten` returns an
 element's vector after checking its tower and `unflatten` wraps a vector;
-neither converts anything.  The p-th root solver, the base-change structure oracle
-(which moves adjoined-layer slots to z slots), point base change (which reads
-slots as the variables x_i and s_j) and the Kaehler ranks, whose one
-elimination is `FlatAlgebra.rank`, all work on these vectors.
+neither converts anything.  Point base change reads slots through `flatten`
+as the variables x_i and s_j; the p-th root solver, the structure oracle
+(which moves adjoined-layer slots to z slots) and the Kaehler ranks, whose
+one elimination is `FlatAlgebra.rank`, read payloads directly.
 """
 
 from __future__ import annotations

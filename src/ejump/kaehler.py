@@ -1,16 +1,17 @@
-"""Ranks of differential modules from Jacobian presentations of towers.
+"""Ranks of differential modules from the relation rows of towers.
 
 For a tower K over reference field k (the rational base, or the prime field
 F_p), the module of differentials is presented by one column per generator
-above k and one relation row per algebraic layer: the total differential of
-its minimal polynomial.  Entries are vectors of K's flat algebra
-(`FieldTower.algebra`, the module over F_p(T) that holds tower elements),
-where partials are taken formally and ranks come from `FlatAlgebra.rank`.  p-degree is the corank, and a lies in K^p iff da = 0.
+above k (`generator_columns`) and one relation row per algebraic layer, the
+total differential of its minimal polynomial (`relation_rows`).  Entries are
+vectors of K's flat algebra (`FieldTower.algebra`, the module over F_p(T)
+that holds tower elements), where partials are taken formally and ranks come
+from `FlatAlgebra.rank`.  p-degree is the corank, and a lies in K^p iff
+da = 0 over F_p (Matsumura, Commutative Ring Theory, §26), which is how
+`tower.is_p_power_tower` decides membership.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation
 from .ff_arith import RatFunc
@@ -20,27 +21,15 @@ BASE = "base"
 PRIME = "prime"
 
 
-def _normalize_ref(ref: str) -> str:
-    if ref in (BASE, PRIME):
-        return ref
-    raise ValueError(f"unknown reference field {ref!r}")
-
-
 def generator_columns(K: FieldTower, ref: str) -> list:
-    """Column descriptors: ('base', i) for base variables, ('layer', level)."""
-    ref = _normalize_ref(ref)
+    """Column descriptors: ('base', i) for base variables, ('layer', level); the one check of `ref`."""
+    if ref not in (BASE, PRIME):
+        raise ValueError(f"unknown reference field {ref!r}")
     cols = []
     if ref == PRIME:
         cols.extend(("base", i) for i in range(K.base.d))
     cols.extend(("layer", lv) for lv in range(1, K.height + 1))
     return cols
-
-
-def generator_names(K: FieldTower, ref: str) -> list:
-    names = []
-    for kind, idx in generator_columns(K, ref):
-        names.append(K.base.varnames[idx] if kind == "base" else K.layers[idx - 1].name)
-    return names
 
 
 def _flat_partials(K: FieldTower, cols: list, vec: dict) -> list:
@@ -78,51 +67,28 @@ def differential_vector(a: TowerElement, ref: str = PRIME) -> list:
     return _flat_partials(a.tower, generator_columns(a.tower, ref), a.payload)
 
 
-@dataclass(frozen=True)
-class JacobianPresentation:
-    """Generators and relation rows presenting the differential module."""
-
-    tower: FieldTower
-    reference: str
-    generators: tuple
-    relation_layers: tuple
-    matrix: tuple  # rows of flat vectors, one per algebraic layer
-
-    @property
-    def rank(self) -> int:
-        return self.tower.algebra.rank(list(self.matrix))
-
-
-def jacobian_presentation(K: FieldTower, ref: str = BASE) -> JacobianPresentation:
-    ref = _normalize_ref(ref)
+def relation_rows(K: FieldTower, ref: str = BASE) -> list:
+    """One row per algebraic layer: the partials of its relation z^deg - reduction, z^deg unreduced."""
     cols = generator_columns(K, ref)
     alg = K.algebra
     rows = []
-    layers = []
     for slot, layer in enumerate(alg.layers):
-        layers.append(layer.name)
-        # the relation z^deg - reduction, with z^deg left unreduced
         head = [0] * alg.nslots
         head[slot] = layer.degree
         relation = alg.sub({tuple(head): alg.field.one}, layer.reduction)
-        rows.append(tuple(_flat_partials(K, cols, relation)))
-    generators = tuple(generator_names(K, ref))
-    return JacobianPresentation(K, ref, generators, tuple(layers), tuple(rows))
+        rows.append(_flat_partials(K, cols, relation))
+    return rows
 
 
 def pdeg(K: FieldTower, ref: str = BASE) -> int:
     """Rank of the differential module: generators minus relation rank."""
-    ref = _normalize_ref(ref)
-    pres = jacobian_presentation(K, ref)
-    return len(pres.generators) - pres.rank
+    return len(generator_columns(K, ref)) - K.algebra.rank(relation_rows(K, ref))
 
 
 def trdeg(K: FieldTower, ref: str = BASE) -> int:
-    ref = _normalize_ref(ref)
-    count = sum(1 for l in K.layers if l.kind == TRANSCENDENTAL)
-    if ref == PRIME:
-        count += K.base.d
-    return count
+    """The generators above the reference field that are transcendental."""
+    cols = generator_columns(K, ref)
+    return sum(kind == "base" or K.layers[idx - 1].kind == TRANSCENDENTAL for kind, idx in cols)
 
 
 def schroer_predicted_edim(K: FieldTower, ref: str = BASE) -> int:
@@ -148,5 +114,5 @@ def differential_is_zero(a: TowerElement) -> bool:
     if not any(d):
         return True
     alg = a.tower.algebra
-    rows = list(jacobian_presentation(a.tower, PRIME).matrix)
+    rows = relation_rows(a.tower, PRIME)
     return alg.rank(rows + [d]) == len(rows)

@@ -308,9 +308,11 @@ class LocalAt:
         same count with I = P bounds the jump: the lemma's edim(kappa (x)_k k')
         keeps the columns edim after keeps, and the theorem's pdeg - trdeg of
         kappa/k is dim Omega_{kappa/k} = n - rank [du/dx_i](P), as kappa/k is
-        finite.  So three inequalities hold by construction: a rank over more
+        finite.  So every inequality holds by construction: a rank over more
         columns is never smaller (theorem), rank Q A <= rank Q (nonnegative),
-        and Sylvester's rank Q A >= rank Q + rank A - n (lemma);
+        Sylvester's rank Q A >= rank Q + rank A - n (lemma), and dropping d
+        columns lowers a rank by at most d (both corollaries: the ecodims differ
+        by the jump, and O regular has ecodim_before = 0, the paper's case);
         `acceptance.criterion_3_bound_chain` recounts both bounds by the
         base-change walk and by Kaehler ranks.
         In strict mode a violated inequality raises BoundViolated.
@@ -332,7 +334,7 @@ class LocalAt:
             "lemma": ejump <= bound_lemma,
             "theorem": bound_lemma <= bound_theorem,
             "corollary_edim": edim_after <= edim_before + base.d,
-            "corollary_ecodim": ecodim_after <= base.d,
+            "corollary_ecodim": ecodim_after <= ecodim_before + base.d,
         }
         report = JumpReport(
             edim_before=edim_before,

@@ -104,7 +104,7 @@ def random_spec(seed):
 
 def differential_edim(K, spec):
     """r - rank_K(da_1, ..., da_r) in the differentials of K over F_p."""
-    rows = list(kaehler.jacobian_presentation(K, "prime").matrix)
+    rows = kaehler.relation_rows(K, "prime")
     das = [kaehler.differential_vector(K.from_base(a), "prime") for a, _ in spec.entries]
     alg = flat_model(K).algebra
     return len(das) - (alg.rank(rows + das) - alg.rank(rows))
@@ -259,9 +259,8 @@ def oracle_specs(group):
     return rational_oracle_specs()
 
 
-def fp_t_rank(conc, generators):
+def fp_t_rank(alg, generators):
     """Second route: rank over F_p(T) of g * b for every flat basis monomial b of the concrete algebra."""
-    alg = conc.algebra
     basis = alg.basis()
     index = {e: i for i, e in enumerate(basis)}
     solver = LinearSolver(alg.field, len(basis))
@@ -274,25 +273,50 @@ def fp_t_rank(conc, generators):
     return solver.rank
 
 
+def recorded_ideal_ranks(monkeypatch):
+    """Record (K, concrete algebra, generators, rank) of every `artin._ideal_rank` call."""
+    seen = []
+    ideal_rank = artin._ideal_rank
+
+    def recording(K, alg, generators):
+        rank = ideal_rank(K, alg, generators)
+        seen.append((K, alg, generators, rank))
+        return rank
+
+    monkeypatch.setattr(artin, "_ideal_rank", recording)
+    return seen
+
+
 class TestOracleRankOverK:
     @pytest.mark.parametrize("group", ["fields-pool", "criterion-5", "rational"])
     def test_k_rank_matches_fp_t_count(self, group, monkeypatch):
-        seen = []
-        ideal_rank = artin._ConcreteAlgebra.ideal_rank
-
-        def recording(conc, generators):
-            rank = ideal_rank(conc, generators)
-            seen.append((conc, generators, rank))
-            return rank
-
-        monkeypatch.setattr(artin._ConcreteAlgebra, "ideal_rank", recording)
+        seen = recorded_ideal_ranks(monkeypatch)
         for K, spec in oracle_specs(group):
             report = artin.verify_structure_oracle(K, spec)
-            ((conc, generators, rank),) = seen
+            ((K_seen, alg, generators, rank),) = seen
             seen.clear()
-            assert fp_t_rank(conc, generators) == rank * conc.model.algebra.dimension
+            assert K_seen is K
+            assert fp_t_rank(alg, generators) == rank * K.algebra.dimension
             assert report.quotient_computed == spec.total_degree(K.p) - rank
             assert report.passed, report.failures()
+
+    @pytest.mark.parametrize("group", ["fields-pool", "criterion-5", "rational"])
+    def test_z_layers_reduce_to_their_radicands(self, group, monkeypatch):
+        # K's layers come first and keep their reductions, padded by one zero per z slot
+        seen = recorded_ideal_ranks(monkeypatch)
+        for K, spec in oracle_specs(group):
+            artin.verify_structure_oracle(K, spec)
+            ((_, alg, _, _),) = seen
+            seen.clear()
+            k, nt = K.algebra.nslots, len(alg.field.varnames)
+            assert alg.nslots == k + len(spec.entries)
+            pad = (0,) * len(spec.entries)
+            for mine, base in zip(alg.layers, K.algebra.layers):
+                assert mine.degree == base.degree
+                assert mine.reduction == {e + pad: c for e, c in base.reduction.items()}
+            for layer, (a, n) in zip(alg.layers[k:], spec.entries):
+                assert layer.degree == K.p**n
+                assert layer.reduction == {(0,) * alg.nslots: a.extend_arity(nt)}
 
     def test_rational_specs_are_large_with_two_nilpotents(self):
         for K, spec in rational_oracle_specs():

@@ -355,6 +355,23 @@ class TestMain:
         assert [r["status"] for r in reports] == ["error"] * 5
         assert [r["error"]["type"] for r in reports] == ["NotPrime"] * 5
 
+    def test_strict_flag_passes_on_singular_input(self, tmp_path, capsys):
+        # O = k[x,y]/(x^2, y^2) at the origin is not regular: ecodim 2 before
+        # and after a root of t, within the bound ecodim_before + d = 3
+        path = tmp_path / "singular.txt"
+        path.write_text(
+            "base p=2 vars t\n"
+            "ideal I vars x,y : x^2, y^2\n"
+            "point P : x, y\n"
+            "cmd verify-bounds I P roots t:1\n"
+        )
+        assert main(["--input", str(path), "--strict", "--format", "json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["status"] == "ok"
+        result = report["result"]
+        assert (result["ecodim_before"], result["ecodim_after"], result["base_dim"]) == (2, 2, 1)
+        assert all(result["satisfied"].values())
+
     def test_strict_flag_passes_on_sound_input(self, tmp_path, capsys):
         path = tmp_path / "ok.txt"
         path.write_text(CUSP_SESSION)
@@ -379,7 +396,18 @@ class TestMain:
 
 
 class TestTowerHeightOne:
-    def test_one_walk_matches_walk_per_exponent(self, monkeypatch):
+    def test_reducible_tower_refused_like_pdeg(self):
+        # u^2 - t^2 = (u - t)(u + t): dt = 0 is decided by a rank whose pivot is a zero divisor
+        reports = run_session_text(
+            "base p=3 vars t\n"
+            "tower K : base adjoin u alg u^2 - t^2 adjoin v alg v^2 - u - t\n"
+            "cmd height-one K var t max 2\n"
+            "cmd pdeg K over prime\n"
+        )
+        assert [r.status for r in reports] == ["error", "error"]
+        assert [r.error["type"] for r in reports] == ["ZeroDivisorDetected"] * 2
+
+    def test_kaehler_test_matches_walk_per_exponent(self, monkeypatch):
         walk = artin.base_change_structure
         rng = random.Random(18)
         towers = [sqrt_t_tower(2), sqrt_t_tower(3)]
@@ -393,7 +421,7 @@ class TestTowerHeightOne:
                 cmd = cli.Command(1, f"cmd height-one K var {variable} max 4", "height-one", args)
                 calls.clear()
                 result = run_command(session, cmd).result
-                assert len(calls) == 1
+                assert not calls
                 t = K.base.field.gen_named(variable)
                 spec = artin.InseparableExtensionSpec.of
                 assert result["jumps"] == [walk(K, spec([(t, n)])).edim for n in range(1, 5)]

@@ -26,19 +26,23 @@ def sqrt_t():
     return adjoin_p_root(k, k.base_var("t"), 1, name="u")
 
 
+def relation_rank(K, ref):
+    return K.algebra.rank(kaehler.relation_rows(K, ref))
+
+
 class TestRankExamples:
     def test_inseparable_over_base_rank_zero(self):
         # relation d(u^2 - t) over the base kills nothing: 2u = 0
-        assert kaehler.jacobian_presentation(sqrt_t(), "base").rank == 0
+        assert relation_rank(sqrt_t(), "base") == 0
 
     def test_inseparable_over_prime_rank_one(self):
         # dt = d(u^2) = 0 forces one relation among dt, du
-        assert kaehler.jacobian_presentation(sqrt_t(), "prime").rank == 1
+        assert relation_rank(sqrt_t(), "prime") == 1
 
     def test_transcendental_no_relations(self):
         k = FieldTower(BaseField(3, ("t",)))
         K = tower_extend(k, transcendental_layer("y"))
-        assert kaehler.jacobian_presentation(K, "base").rank == 0
+        assert relation_rank(K, "base") == 0
 
 
 class TestPdegTrdeg:
@@ -99,10 +103,16 @@ class TestDifferentialIsZero:
 
 
 def test_presentation_shape():
-    pres = kaehler.jacobian_presentation(sqrt_t(), "prime")
-    assert pres.generators == ("t", "u")
-    assert pres.relation_layers == ("u",)
-    assert len(pres.matrix) == 1 and len(pres.matrix[0]) == 2
+    K = sqrt_t()
+    rows = kaehler.relation_rows(K, "prime")
+    assert kaehler.generator_columns(K, "prime") == [("base", 0), ("layer", 1)]
+    assert len(rows) == 1 and len(rows[0]) == 2
+
+
+def test_unknown_reference_field_rejected():
+    for f in (kaehler.generator_columns, kaehler.relation_rows, kaehler.pdeg, kaehler.trdeg):
+        with pytest.raises(ValueError):
+            f(sqrt_t(), "perfect")
 
 
 @given(towers())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ejump.errors import BothZero
+from ejump.errors import BothZero, DivByZero, InternalInvariantViolation
 from ejump.ff_arith import poly
 from ejump.ff_arith import (
     GREVLEX,
@@ -146,6 +146,48 @@ def test_gcd_divides_both(pair):
     g = poly_gcd(a, b)
     assert divexact(a, g) * g == a
     assert divexact(b, g) * g == b
+
+
+def _poly_in(rng, dom, arity, variables):
+    """A nonzero polynomial whose support lies in `variables`; a constant when that is empty."""
+    items = [
+        (tuple(rng.randint(0, 3) if i in variables else 0 for i in range(arity)), rng.randint(1, dom.p - 1))
+        for _ in range(rng.randint(1, 4))
+    ]
+    f = MultiPoly.from_terms(dom, arity, items)
+    return MultiPoly.from_int(dom, arity, 1) if f.is_zero else f
+
+
+class TestDivexact:
+    """Exact division runs the gcd kernel's dense `_div`; each case draws the supports of a and b apart."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_quotient_of_a_product(self, p):
+        rng = random.Random(p)
+        dom = PrimeField(p)
+        for _ in range(300):
+            arity = rng.randint(1, 3)
+            # each variable in a only, b only, both or neither: covers constants and disjoint supports
+            roles = [rng.choice(("a", "b", "ab", "")) for _ in range(arity)]
+            a = _poly_in(rng, dom, arity, {i for i, r in enumerate(roles) if "a" in r})
+            b = _poly_in(rng, dom, arity, {i for i, r in enumerate(roles) if "b" in r})
+            assert divexact(a * b, b) == a
+            assert divexact(a * b, a) == b
+            assert divexact(MultiPoly.zero(dom, arity), b).is_zero
+            if not b.is_constant:
+                with pytest.raises(InternalInvariantViolation):
+                    divexact(a * b + MultiPoly.from_int(dom, arity, 1), b)
+                with pytest.raises(InternalInvariantViolation):
+                    divexact(b, b * b)
+
+    def test_divisor_outside_the_support_raises(self):
+        x, y = P(F3, 2, ((1, 0), 1)), P(F3, 2, ((0, 1), 1))
+        with pytest.raises(InternalInvariantViolation):
+            divexact(x, y)
+        with pytest.raises(InternalInvariantViolation):
+            divexact(x * x, x * y)
+        with pytest.raises(DivByZero):
+            divexact(x, MultiPoly.zero(F3, 2))
 
 
 @given(poly_pairs(nonzero=True), polys(nonzero=True))
