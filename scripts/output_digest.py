@@ -31,6 +31,9 @@ Families:
   `random_separable_point_instance` seeds 0-59.
 - tower-heights: the CLI JSON of `height-one K var v max 4` for every base
   variable v of every seed-1 and seed-2 `fields` and `sessions` pool tower.
+- roots: `p_power_root` at q = p and p^2 on x^q, x^q + t, t and x^q again,
+  with x = g + 1/(t + 1) for the top generator g (t in the base field), all
+  on one algebra per seed-1 `fields` and `sessions` pool tower.
 
 The benchmark's workload module supplies the inputs and is only imported.
 """
@@ -53,12 +56,13 @@ import workloads  # noqa: E402
 from ejump import artin, cli, kaehler, localring  # noqa: E402
 from ejump.acceptance import run_all, structure_oracle_specs  # noqa: E402
 from ejump.ff_arith import MultiPoly, PrimeField, RatFunc, poly_gcd, render_ratfunc  # noqa: E402
+from ejump.flat import p_power_root  # noqa: E402
 from ejump.instances import (  # noqa: E402
     random_bound_instance,
     random_separable_point_instance,
     rational_oracle_specs,
 )
-from ejump.tower import p_root_tower  # noqa: E402
+from ejump.tower import FieldTower, TowerElement, p_root_tower  # noqa: E402
 
 
 def _session_json(text: str) -> str:
@@ -210,6 +214,23 @@ def _tower_heights() -> list:
     return out
 
 
+def _roots() -> list:
+    towers = [case.tower for case in workloads.fields_setup(1)]
+    towers += [case.tower for case in workloads.sessions_setup(1) if case.tower is not None]
+    out = []
+    for pool_tower in towers:
+        K = FieldTower(pool_tower.base, pool_tower.layers)  # an algebra no earlier root has used
+        t = K.base_var(K.base.varnames[0])
+        g = K.gen(K.layers[-1].name) if K.layers else t
+        x = g + K.one / (t + K.one)
+        for r in (1, 2):
+            xq = x ** (K.p**r)
+            for target in (xq, xq + t, t, xq):
+                root = p_power_root(K.algebra, target.payload, r)
+                out.append(None if root is None else TowerElement(K, root).render())
+    return out
+
+
 def _random_poly(rng: random.Random, p: int, arity: int) -> MultiPoly:
     items = [(tuple(rng.randint(0, 3) for _ in range(arity)), rng.randint(1, p - 1)) for _ in range(rng.randint(1, 4))]
     f = MultiPoly.from_terms(PrimeField(p), arity, items)
@@ -272,6 +293,7 @@ FAMILIES = (
     ("nonreduced", _nonreduced),
     ("jet", _jet),
     ("tower-heights", _tower_heights),
+    ("roots", _roots),
 )
 
 

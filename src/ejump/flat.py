@@ -19,7 +19,10 @@ over k0, and splitting every scalar over the k0^q-basis of monomials T^mu
 with exponents below q turns it into an honest linear system with a unique
 solution whenever a root exists.  Its matrix, its denominator scale and its
 final check x^q = a are all Frobenius images.  This makes root extraction
-total: no presentation is ever rejected.
+total: no presentation is ever rejected.  The matrix depends only on the
+algebra and q, so the algebra keeps one `RootSystem` per q, eliminated once
+and only as far as roots need it; each target's right-hand side is split and
+replayed through the logged reductions, and x^q = a is still checked.
 
 `FlatModel` pairs a tower with its algebra.  `FlatModel.flatten` returns an
 element's vector after checking its tower and `unflatten` wraps a vector;
@@ -60,6 +63,7 @@ class FlatAlgebra:
         self.layers = list(layers)
         self._gen_power_cache: dict = {}
         self._frobenius_tables: dict = {}  # q -> {basis exponent: its q-th power}
+        self._root_systems: dict = {}  # q -> RootSystem of x^q = a
 
     @property
     def dimension(self) -> int:
@@ -191,6 +195,12 @@ class FlatAlgebra:
             value = table[e] = self.mul(value, self.gen_power(_top_slot([e]), q))
         return value
 
+    def root_system(self, q: int) -> "RootSystem":
+        """The left-hand side of x^q = a, eliminated block by block as roots need it; kept per q."""
+        if q not in self._root_systems:
+            self._root_systems[q] = RootSystem(self, q)
+        return self._root_systems[q]
+
     def frobenius(self, u: dict, q: int) -> dict:
         """u^q for q a power of p, term by term.
 
@@ -291,12 +301,19 @@ class LinearSolver:
     and never change.  An incoming row reduced against them in pivot order is
     the element of its coset that is zero in every pivot column, so the pivots,
     the rank and the consistency verdict are those of a fully reduced form.
+
+    Each equation's reduction is logged: the multiplier of every stored row it
+    was reduced by, keyed by that row's pivot column, then its own pivot column
+    and the pivot's inverse, both None for a dependent equation.  The left-hand
+    sides alone decide the log, so `replay` reduces another right-hand side
+    without touching a left-hand side again.
     """
 
     def __init__(self, scalar_field: FractionField, ncols: int):
         self.field = scalar_field
         self.ncols = ncols
         self.rows: list = []  # (pivot_col, coeffs, rhs), sorted by pivot_col
+        self.log: list = []  # per equation: ([(pivot_col, multiplier)], pivot_col, pivot inverse)
 
     @property
     def rank(self) -> int:
@@ -305,6 +322,7 @@ class LinearSolver:
     def add_equation(self, coeffs: list, rhs: RatFunc) -> bool:
         """Reduce and insert; returns False when the system became inconsistent."""
         coeffs = list(coeffs)
+        multipliers = []
         for pivot_col, row, row_rhs in self.rows:
             c = coeffs[pivot_col]
             if c.is_zero:
@@ -312,20 +330,47 @@ class LinearSolver:
             # the row is zero left of its pivot
             tail = zip(coeffs[pivot_col:], row[pivot_col:])
             coeffs[pivot_col:] = [a if b.is_zero else a - c * b for a, b in tail]
-            rhs = rhs - c * row_rhs
+            if not row_rhs.is_zero:
+                rhs = rhs - c * row_rhs
+            multipliers.append((pivot_col, c))
         pivot = next((i for i, c in enumerate(coeffs) if not c.is_zero), None)
         if pivot is None:
+            self.log.append((multipliers, None, None))
             return rhs.is_zero
         inv = coeffs[pivot].inv()
+        self.log.append((multipliers, pivot, inv))
         row = [c if c.is_zero else c * inv for c in coeffs]
         row[pivot] = self.field.one
         bisect.insort(self.rows, (pivot, row, rhs * inv), key=lambda r: r[0])
         return True
 
-    def solution(self) -> list:
-        """A solution with free variables set to zero, by back-substitution."""
+    def replay(self, index: int, rhs: RatFunc, reduced: dict) -> bool:
+        """Reduce a new right-hand side for logged equation `index`, as `add_equation` did.
+
+        `reduced` maps the pivot column of every earlier pivot equation to its
+        replayed right-hand side and gains this equation's, so equations are
+        replayed in order.  Returns False when a dependent equation's
+        right-hand side does not reduce to zero.
+        """
+        multipliers, pivot, inv = self.log[index]
+        for col, c in multipliers:
+            b = reduced[col]
+            if not b.is_zero:
+                rhs = rhs - c * b
+        if pivot is None:
+            return rhs.is_zero
+        reduced[pivot] = rhs * inv
+        return True
+
+    def solution(self, reduced: dict | None = None) -> list:
+        """A solution with free variables set to zero, by back-substitution.
+
+        The right-hand sides are the stored ones, or the replayed ones in `reduced`.
+        """
         out = [self.field.zero] * self.ncols
         for pivot_col, row, rhs in reversed(self.rows):
+            if reduced is not None:
+                rhs = reduced[pivot_col]
             for j in range(pivot_col + 1, self.ncols):
                 if not (row[j].is_zero or out[j].is_zero):
                     rhs = rhs - row[j] * out[j]
@@ -388,36 +433,85 @@ def frobenius_split(c: RatFunc, q: int, nvars: int) -> dict:
     return out
 
 
+class RootSystem:
+    """The left-hand side of x^q = a over one algebra, eliminated once for every a.
+
+    Write x = sum of x_alpha * alpha over the basis.  Block gamma holds the
+    equations of the gamma-coefficient: the coefficient of gamma in each
+    alpha^q, scaled by the q-th power of the lcm of the block's denominators
+    and split over T^mu by `frobenius_split`, gives one equation in the x_alpha
+    per mu.  Blocks are eliminated in basis order, each only when a root needs
+    it, and none after the rank is full.
+    """
+
+    def __init__(self, algebra: FlatAlgebra, q: int):
+        self.q = q
+        self.basis = algebra.basis()
+        self.nvars = len(algebra.field.varnames)
+        self.powers = [algebra.monomial_frobenius(e, q) for e in self.basis]
+        self.solver = LinearSolver(algebra.field, len(self.basis))
+        self.blocks: list = []  # (gamma, scale, {mu: equation index}) in basis order
+
+    @property
+    def full_rank(self) -> bool:
+        return self.solver.rank == len(self.basis)
+
+    def extend(self) -> bool:
+        """Eliminate the next block; False once the rank is full or every block is built."""
+        if self.full_rank or len(self.blocks) == len(self.basis):
+            return False
+        field, q = self.solver.field, self.q
+        gamma = self.basis[len(self.blocks)]
+        entries = [power.get(gamma, field.zero) for power in self.powers]
+        dens = [c.den for c in entries if not c.is_zero]
+        if not dens:
+            self.blocks.append((gamma, None, {}))
+            return True
+        # the lcm's q-th power is a multiple of every denominator of the block, so each product is a polynomial
+        scale = _frobenius_scalar(RatFunc.from_poly(reduce(poly_lcm, dens)), q)
+        splits = [{} if c.is_zero else frobenius_split(c * scale, q, self.nvars) for c in entries]
+        rows = {}
+        for mu in sorted({mu for s in splits for mu in s}):
+            rows[mu] = len(self.solver.log)
+            self.solver.add_equation([s.get(mu, field.zero) for s in splits], field.zero)
+        self.blocks.append((gamma, scale, rows))
+        return True
+
+
 def p_power_root(algebra: FlatAlgebra, target: dict, r: int):
-    """Solve x^(p^r) = target in the algebra; None when no solution exists."""
-    field = algebra.field
-    q = field.p**r
-    basis = algebra.basis()
-    nvars = len(field.varnames)
-    n = len(basis)
-    powers = {e: algebra.monomial_frobenius(e, q) for e in basis}
+    """Solve x^(p^r) = target in the algebra; None when no solution exists.
 
-    solver = LinearSolver(field, n)
-    for gamma in basis:
-        entries = [powers[alpha].get(gamma, field.zero) for alpha in basis]
-        rhs = target.get(gamma, field.zero)
-        if all(c.is_zero for c in entries) and rhs.is_zero:
-            continue
-        den = reduce(poly_lcm, (c.den for c in entries + [rhs] if not c.is_zero))
-        # den^q is a multiple of every denominator of the row, so each product is a polynomial
-        scale = _frobenius_scalar(RatFunc.from_poly(den), q)
-        splits = [frobenius_split(c * scale, q, nvars) for c in entries + [rhs]]
-        mus = sorted({mu for s in splits for mu in s})
-        for mu in mus:
-            row = [s.get(mu, field.zero) for s in splits[:-1]]
-            rhs_mu = splits[-1].get(mu, field.zero)
-            if not solver.add_equation(row, rhs_mu):
+    The left-hand side is the algebra's `RootSystem` for q = p^r.  Block by
+    block, the target's gamma-coefficient is split with the block's scale and
+    its pieces are replayed through the logged reductions: a piece with no
+    equation or a dependent equation left nonzero means no root.  Blocks are
+    added while the rank is short; at full rank only pivot equations are
+    replayed.  Back-substitution sets free variables to zero, and x^q = target
+    is checked, which covers every equation skipped or never built.
+    """
+    q = algebra.field.p**r
+    system = algebra.root_system(q)
+    solver, zero = system.solver, algebra.field.zero
+    reduced: dict = {}
+    k = 0
+    while k < len(system.blocks) or system.extend():
+        gamma, scale, rows = system.blocks[k]
+        k += 1
+        pieces = {}
+        if gamma in target:
+            if not rows:
                 return None
-        if solver.rank == n:
-            break
+            pieces = frobenius_split(target[gamma] * scale, q, system.nvars)
+            if not pieces.keys() <= rows.keys():
+                return None
+        full = system.full_rank
+        for mu, i in rows.items():
+            if full and solver.log[i][1] is None:
+                continue
+            if not solver.replay(i, pieces.get(mu, zero), reduced):
+                return None
 
-    x = {e: c for e, c in zip(basis, solver.solution()) if not c.is_zero}
-    # the loop stops once the rank is full, so rows it skipped are checked here
+    x = {e: c for e, c in zip(system.basis, solver.solution(reduced)) if not c.is_zero}
     if not algebra.eq(algebra.frobenius(x, q), target):
         return None
     return x

@@ -1,10 +1,14 @@
+import functools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ejump.ff_arith import FractionField, RatFunc
 from ejump.flat import FlatAlgebra, FlatLayer, LinearSolver, flat_model, frobenius_split, p_power_root
-from ejump.tower import BaseField, FieldTower, adjoin_p_root
+from ejump.instances import random_tower
+from ejump.tower import INSEPARABLE_ROOT, BaseField, FieldTower, adjoin_p_root, inseparable_root_layer
 
 from .strategies import primes, ratfuncs, tower_elements, towers
 
@@ -263,3 +267,106 @@ class TestPPowerRoot:
         calls.update(pow=0, mul=0)
         assert p_power_root(alg, target, 1) == x.payload
         assert calls == {"pow": 0, "mul": 0}
+
+
+def root_towers():
+    """Per prime: a separable layer over F_p(t), with and without an inseparable
+    root above it, an inseparable root over F_p(t) with a free y1 after it, and
+    one or two inseparable roots over F_p(t1, t2).
+
+    A separable layer under a root makes the replay reduce pivot equations by
+    earlier pivots' nonzero right-hand sides.
+    """
+    draws = ((0, 1), (17, 1), (5, 1), (5, 2))
+    return [random_tower(random.Random(seed), p, d, max_layers=2).tower for p in (2, 3, 5) for seed, d in draws]
+
+
+def root_targets(K, q):
+    """x^q, x^q + t and t for x = 1/(t + 1) + the product of g + t over K's generators g."""
+    t = K.base_var(K.base.varnames[0])
+    x = K.one / (t + K.one)
+    x += functools.reduce(lambda a, b: a * b, (K.gen(layer.name) + t for layer in K.layers), K.one)
+    xq = x**q
+    return [xq.payload, (xq + t).payload, t.payload]
+
+
+def oracle_algebra(K, n):
+    """The oracle's K[z]/(z^(p^n) - t^p): not reduced, since z^(p^(n-1)) - t is nilpotent."""
+    t = K.base.field.gen(0)
+    return FieldTower(K.base, K.layers + (inseparable_root_layer(K, "z", K.from_base(t**K.p), n),))
+
+
+class TestRootSystem:
+    """One root system per algebra and q answers every target as a fresh algebra would."""
+
+    @staticmethod
+    def check_orders(make, cases):
+        """Solve `cases` in both orders on one algebra from `make`, each also on a fresh one.
+
+        A case is (q, target, has_root), where has_root None leaves it open.
+        """
+        for order in (cases, cases[::-1]):
+            alg = make()
+            for q, target, has_root in order:
+                r = 1 if q == alg.field.p else 2
+                root = p_power_root(alg, target, r)
+                assert root == p_power_root(make(), target, r)
+                if has_root is not None:
+                    assert (root is not None) == has_root
+                if root is not None:
+                    assert alg.frobenius(root, q) == target
+            # a second pass reduces no row again
+            logged = {q: len(alg.root_system(q).solver.log) for q, _, _ in cases}
+            for q, target, _ in order:
+                p_power_root(alg, target, 1 if q == alg.field.p else 2)
+            assert {q: len(alg.root_system(q).solver.log) for q, _, _ in cases} == logged
+
+    @pytest.mark.parametrize("K", root_towers(), ids=lambda K: K.describe())
+    def test_fields_roots_first_then_non_roots_first(self, K):
+        # a field has one root of x^q at most, so the check x^q == target makes it x
+        cases = []
+        for q in (K.p, K.p**2):
+            xq, xq_plus_t, t = root_targets(K, q)
+            cases += [(q, xq, True), (q, xq_plus_t, None), (q, t, None)]
+        cases.append(cases[0])
+        self.check_orders(lambda: FieldTower(K.base, K.layers).algebra, cases)
+
+    def test_non_roots_present(self):
+        # t is no p-th power in a separable extension of F_p(t), so x^q + t and t have no root
+        for K in root_towers():
+            if any(layer.kind == INSEPARABLE_ROOT for layer in K.layers):
+                continue
+            alg = FieldTower(K.base, K.layers).algebra
+            for r in (1, 2):
+                _, xqt, t = root_targets(K, K.p**r)
+                assert p_power_root(alg, xqt, r) is None
+                assert p_power_root(alg, t, r) is None
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_oracle_algebra(self, p, n):
+        K = FieldTower(BaseField(p, ("t",)))
+        C = oracle_algebra(K, n)
+        z, t = C.gen("z"), C.base_var("t")
+        cases = []
+        for q in (p, p * p):
+            cases += [(q, ((z + t) ** q).payload, True), (q, (z + t**2).payload, None), (q, t.payload, None)]
+        self.check_orders(lambda: FieldTower(C.base, C.layers).algebra, cases)
+
+    def test_algebra_mod_square_diff(self):
+        # every square a^2 + b^2 z^2 = a^2 + b^2 t^2 lies in F_2(t^2)
+        field, alg = algebra_mod_square_diff()
+        z, t = alg.gen(0), alg.scalar(field.gen(0))
+        t2, zt4 = alg.mul(t, t), alg.pow(alg.add(z, t), 4)
+        cases = [(2, t2, True), (2, alg.add(t2, t), False), (2, t, False)]
+        cases += [(2, zt4, True), (4, zt4, True), (4, t, False)]
+        self.check_orders(lambda: algebra_mod_square_diff()[1], cases)
+
+    def test_fresh_tower_starts_empty(self):
+        K = root_towers()[0]
+        p_power_root(K.algebra, root_targets(K, K.p)[0], 1)
+        assert K.algebra.root_system(K.p).blocks
+        fresh = FieldTower(K.base, K.layers).algebra
+        assert fresh is not K.algebra
+        system = fresh.root_system(K.p)
+        assert system.blocks == [] and system.solver.rank == 0 and system.solver.log == []
