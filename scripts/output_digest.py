@@ -34,6 +34,10 @@ Families:
 - roots: `p_power_root` at q = p and p^2 on x^q, x^q + t, t and x^q again,
   with x = g + 1/(t + 1) for the top generator g (t in the base field), all
   on one algebra per seed-1 `fields` and `sessions` pool tower.
+- inverses: `TowerElement.inv()` of four elements a + b*g per seed-1 `fields`
+  and `sessions` pool tower, with a and b seeded `random_tower_element` draws
+  and g the top generator (t in the base field), and the error types raised
+  for 0 and for u - t in the reducible tower u^2 - t^2 over F_3(t).
 
 The benchmark's workload module supplies the inputs and is only imported.
 """
@@ -56,10 +60,12 @@ import workloads  # noqa: E402
 from ejump import artin, cli, kaehler, localring  # noqa: E402
 from ejump.acceptance import run_all, structure_oracle_specs  # noqa: E402
 from ejump.ff_arith import MultiPoly, PrimeField, RatFunc, poly_gcd, render_ratfunc  # noqa: E402
+from ejump.errors import ExactAlgebraError  # noqa: E402
 from ejump.flat import p_power_root  # noqa: E402
 from ejump.instances import (  # noqa: E402
     random_bound_instance,
     random_separable_point_instance,
+    random_tower_element,
     rational_oracle_specs,
 )
 from ejump.tower import FieldTower, TowerElement, p_root_tower  # noqa: E402
@@ -231,6 +237,29 @@ def _roots() -> list:
     return out
 
 
+def _inverse(x: TowerElement) -> str:
+    """The rendered inverse of x, or the type of the error it raises."""
+    try:
+        return x.inv().render()
+    except ExactAlgebraError as err:
+        return type(err).__name__
+
+
+def _inverses() -> list:
+    towers = [case.tower for case in workloads.fields_setup(1)]
+    towers += [case.tower for case in workloads.sessions_setup(1) if case.tower is not None]
+    out = []
+    for seed, K in enumerate(towers):
+        rng = random.Random(seed)
+        g = K.gen(K.layers[-1].name) if K.layers else K.base_var(K.base.varnames[0])
+        for _ in range(4):
+            a, b = (random_tower_element(rng, K, size=2) for _ in range(2))
+            out.append(_inverse(a + b * g))
+    K = cli.parse_session("base p=3 vars t\ntower K : base adjoin u alg u^2 - t^2\n").towers["K"]
+    out += [_inverse(K.zero), _inverse(K.gen("u") - K.base_var("t"))]
+    return out
+
+
 def _random_poly(rng: random.Random, p: int, arity: int) -> MultiPoly:
     items = [(tuple(rng.randint(0, 3) for _ in range(arity)), rng.randint(1, p - 1)) for _ in range(rng.randint(1, 4))]
     f = MultiPoly.from_terms(PrimeField(p), arity, items)
@@ -294,6 +323,7 @@ FAMILIES = (
     ("jet", _jet),
     ("tower-heights", _tower_heights),
     ("roots", _roots),
+    ("inverses", _inverses),
 )
 
 

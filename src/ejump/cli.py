@@ -21,9 +21,10 @@ Grammar (one declaration or command per line, `#` starts a comment):
     cmd height-one I P var t max 3
     cmd height-one K var t max 3
 
-Flags: --input FILE, --format {text|json}, --strict (a violated bound aborts),
---cap N (structure-oracle dimension cap).  Exit codes: 0 success, 1
-parse/validation error, 2 domain error, 3 bound violation in strict mode.
+Flags: --input FILE, --format {text|json}, --strict, --cap N (structure-oracle
+dimension cap).  Exit codes: 0 success, 1 parse/validation error, 2 domain
+error.  Every bound of a report holds by construction (`LocalAt.report`), so
+`--strict` never aborts and exit code 3, a bound violation, never occurs.
 """
 
 from __future__ import annotations

@@ -156,10 +156,10 @@ class ExprParser:
         kind, val, _ = self.peek()
         if kind == "sym" and val == "^":
             self.next()
-            k, v, _ = self.next()
-            if k != "int":
-                self.fail("exponent must be a non-negative integer")
-            return base**v
+            tok = self.next()
+            if tok[0] != "int":
+                self.fail("exponent must be a non-negative integer", tok)
+            return base ** tok[1]
         return base
 
     def atom(self):
@@ -172,9 +172,9 @@ class ExprParser:
             return self.context[val]
         if kind == "sym" and val == "(":
             value = self.expr()
-            k, v, _ = self.next()
-            if not (k == "sym" and v == ")"):
-                self.fail("expected ')'")
+            tok = self.next()
+            if tok[:2] != ("sym", ")"):
+                self.fail("expected ')'", tok)
             return value
         if kind == "sym" and val == "-":
             return -self.factor()

@@ -20,9 +20,10 @@ with exponents below q turns it into an honest linear system with a unique
 solution whenever a root exists.  Its matrix, its denominator scale and its
 final check x^q = a are all Frobenius images.  This makes root extraction
 total: no presentation is ever rejected.  The matrix depends only on the
-algebra and q, so the algebra keeps one `RootSystem` per q, eliminated once
-and only as far as roots need it; each target's right-hand side is split and
-replayed through the logged reductions, and x^q = a is still checked.
+algebra and q, so the algebra keeps one `RootSystem` per q, built whole on
+first use.  Every solve here eliminates a left-hand side once in
+`LinearSolver` and only replays right-hand sides through its log: a target's
+split pieces for a root, e_1 for an inverse.  x^q = a is still checked.
 
 `FlatModel` pairs a tower with its algebra.  `FlatModel.flatten` returns an
 element's vector after checking its tower and `unflatten` wraps a vector;
@@ -61,7 +62,6 @@ class FlatAlgebra:
     def __init__(self, scalar_field: FractionField, layers: list):
         self.field = scalar_field
         self.layers = list(layers)
-        self._gen_power_cache: dict = {}
         self._frobenius_tables: dict = {}  # q -> {basis exponent: its q-th power}
         self._root_systems: dict = {}  # q -> RootSystem of x^q = a
 
@@ -83,9 +83,6 @@ class FlatAlgebra:
         return len(self.layers)
 
     # -- vector helpers -------------------------------------------------
-
-    def zero(self) -> dict:
-        return {}
 
     def scalar(self, c: RatFunc) -> dict:
         if c.is_zero:
@@ -115,12 +112,6 @@ class FlatAlgebra:
 
     def sub(self, u: dict, v: dict) -> dict:
         return self.add(u, self.neg(v))
-
-    def is_zero(self, u: dict) -> bool:
-        return not u
-
-    def eq(self, u: dict, v: dict) -> bool:
-        return u == v
 
     def reduce(self, terms: dict) -> dict:
         """Rewrite exponents exceeding a layer degree through its reduction."""
@@ -171,18 +162,12 @@ class FlatAlgebra:
                 base = self.mul(base, base)
         return result
 
-    def gen_power(self, slot: int, n: int) -> dict:
-        """gen(slot)^n, cached."""
-        key = (slot, n)
-        if key not in self._gen_power_cache:
-            self._gen_power_cache[key] = self.pow(self.gen(slot), n)
-        return self._gen_power_cache[key]
-
     def monomial_frobenius(self, e: tuple, q: int) -> dict:
         """The q-th power of the basis monomial e, cached per q.
 
         It is the power of e with one less in its top slot s times gen(s)^q,
-        so gen^(q k) comes from the cached gen^(q (k - 1)).
+        so gen^(q k) comes from the cached gen^(q (k - 1)), and gen(s)^q is
+        the one power taken by `pow`.
         """
         table = self._frobenius_tables.setdefault(q, {(0,) * self.nslots: self.one()})
         chain = []
@@ -192,11 +177,16 @@ class FlatAlgebra:
             e = e[:s] + (e[s] - 1,) + e[s + 1 :]
         value = table[e]
         for e in reversed(chain):
-            value = table[e] = self.mul(value, self.gen_power(_top_slot([e]), q))
+            s = _top_slot([e])
+            unit = tuple(int(slot == s) for slot in range(self.nslots))
+            if e == unit:
+                value = table[e] = self.pow(self.gen(s), q)
+            else:
+                value = table[e] = self.mul(value, self.monomial_frobenius(unit, q))
         return value
 
     def root_system(self, q: int) -> "RootSystem":
-        """The left-hand side of x^q = a, eliminated block by block as roots need it; kept per q."""
+        """The left-hand side of x^q = a, eliminated on first use and kept per q."""
         if q not in self._root_systems:
             self._root_systems[q] = RootSystem(self, q)
         return self._root_systems[q]
@@ -207,7 +197,7 @@ class FlatAlgebra:
         Frobenius is additive and fixes F_p in any commutative F_p-algebra, so
         a coefficient c(T) goes to c(T^q) and a monomial to its cached q-th power.
         """
-        out = self.zero()
+        out: dict = {}
         for e, c in u.items():
             cq = _frobenius_scalar(c, q)
             out = self.add(out, {f: cq * v for f, v in self.monomial_frobenius(e, q).items()})
@@ -244,6 +234,8 @@ class FlatAlgebra:
         A scalar takes one field inversion.  Otherwise u * x = 1 is solved over
         the monomials of the slots up to u's highest one: reductions are
         triangular, so those slots span a subalgebra, and it holds the inverse.
+        Each row of u's multiplication matrix is eliminated, then e_1 replayed
+        (the first monomial is 1); a dependent row left nonzero means a zero divisor.
         """
         if not u:
             return None
@@ -254,13 +246,12 @@ class FlatAlgebra:
         basis = [e for e in self.basis() if not any(e[top + 1 :])]
         columns = [self.mul(u, {e: self.field.one}) for e in basis]
         solver = LinearSolver(self.field, len(basis))
-        one_exp = (0,) * self.nslots
-        for gamma in basis:
-            coeffs = [col.get(gamma, self.field.zero) for col in columns]
-            rhs = self.field.one if gamma == one_exp else self.field.zero
-            if not solver.add_equation(coeffs, rhs):
+        reduced: dict = {}
+        for i, gamma in enumerate(basis):
+            solver.add_equation([col.get(gamma, self.field.zero) for col in columns])
+            if not solver.replay(i, self.field.one if i == 0 else self.field.zero, reduced):
                 return None
-        return {e: c for e, c in zip(basis, solver.solution()) if not c.is_zero}
+        return {e: c for e, c in zip(basis, solver.solution(reduced)) if not c.is_zero}
 
     def rank(self, rows: list) -> int:
         """Rank of a matrix of vectors by fraction-free Gaussian elimination.
@@ -295,57 +286,54 @@ class FlatAlgebra:
 
 
 class LinearSolver:
-    """Incremental row echelon form over a fraction field, back-substituted once.
+    """Row echelon form of a left-hand side over a fraction field; right-hand sides are replayed.
 
     Stored rows are sorted by pivot column, start at their pivot, which is one,
     and never change.  An incoming row reduced against them in pivot order is
-    the element of its coset that is zero in every pivot column, so the pivots,
-    the rank and the consistency verdict are those of a fully reduced form.
+    the element of its coset that is zero in every pivot column, so the pivots
+    and the rank are those of a fully reduced form.
 
     Each equation's reduction is logged: the multiplier of every stored row it
     was reduced by, keyed by that row's pivot column, then its own pivot column
-    and the pivot's inverse, both None for a dependent equation.  The left-hand
-    sides alone decide the log, so `replay` reduces another right-hand side
-    without touching a left-hand side again.
+    and the pivot's inverse, both None for a dependent equation.  The solver
+    holds no right-hand side: `replay` reduces one through the log, which
+    decides consistency, and `solution` back-substitutes the replayed values.
     """
 
     def __init__(self, scalar_field: FractionField, ncols: int):
         self.field = scalar_field
         self.ncols = ncols
-        self.rows: list = []  # (pivot_col, coeffs, rhs), sorted by pivot_col
+        self.rows: list = []  # (pivot_col, coeffs), sorted by pivot_col
         self.log: list = []  # per equation: ([(pivot_col, multiplier)], pivot_col, pivot inverse)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def add_equation(self, coeffs: list, rhs: RatFunc) -> bool:
-        """Reduce and insert; returns False when the system became inconsistent."""
+    def add_equation(self, coeffs: list) -> None:
+        """Reduce a left-hand side against the stored rows, log it, and store it if independent."""
         coeffs = list(coeffs)
         multipliers = []
-        for pivot_col, row, row_rhs in self.rows:
+        for pivot_col, row in self.rows:
             c = coeffs[pivot_col]
             if c.is_zero:
                 continue
             # the row is zero left of its pivot
             tail = zip(coeffs[pivot_col:], row[pivot_col:])
             coeffs[pivot_col:] = [a if b.is_zero else a - c * b for a, b in tail]
-            if not row_rhs.is_zero:
-                rhs = rhs - c * row_rhs
             multipliers.append((pivot_col, c))
         pivot = next((i for i, c in enumerate(coeffs) if not c.is_zero), None)
         if pivot is None:
             self.log.append((multipliers, None, None))
-            return rhs.is_zero
+            return
         inv = coeffs[pivot].inv()
         self.log.append((multipliers, pivot, inv))
         row = [c if c.is_zero else c * inv for c in coeffs]
         row[pivot] = self.field.one
-        bisect.insort(self.rows, (pivot, row, rhs * inv), key=lambda r: r[0])
-        return True
+        bisect.insort(self.rows, (pivot, row), key=lambda r: r[0])
 
     def replay(self, index: int, rhs: RatFunc, reduced: dict) -> bool:
-        """Reduce a new right-hand side for logged equation `index`, as `add_equation` did.
+        """Reduce a right-hand side for logged equation `index` as its left-hand side was reduced.
 
         `reduced` maps the pivot column of every earlier pivot equation to its
         replayed right-hand side and gains this equation's, so equations are
@@ -362,15 +350,11 @@ class LinearSolver:
         reduced[pivot] = rhs * inv
         return True
 
-    def solution(self, reduced: dict | None = None) -> list:
-        """A solution with free variables set to zero, by back-substitution.
-
-        The right-hand sides are the stored ones, or the replayed ones in `reduced`.
-        """
+    def solution(self, reduced: dict) -> list:
+        """The solution for the replayed right-hand sides `reduced`, free variables zero."""
         out = [self.field.zero] * self.ncols
-        for pivot_col, row, rhs in reversed(self.rows):
-            if reduced is not None:
-                rhs = reduced[pivot_col]
+        for pivot_col, row in reversed(self.rows):
+            rhs = reduced[pivot_col]
             for j in range(pivot_col + 1, self.ncols):
                 if not (row[j].is_zero or out[j].is_zero):
                     rhs = rhs - row[j] * out[j]
@@ -440,63 +424,53 @@ class RootSystem:
     equations of the gamma-coefficient: the coefficient of gamma in each
     alpha^q, scaled by the q-th power of the lcm of the block's denominators
     and split over T^mu by `frobenius_split`, gives one equation in the x_alpha
-    per mu.  Blocks are eliminated in basis order, each only when a root needs
-    it, and none after the rank is full.
+    per mu.  The constructor eliminates the blocks in basis order until the
+    rank is full; later blocks are never built.
     """
 
     def __init__(self, algebra: FlatAlgebra, q: int):
-        self.q = q
+        field = algebra.field
         self.basis = algebra.basis()
-        self.nvars = len(algebra.field.varnames)
-        self.powers = [algebra.monomial_frobenius(e, q) for e in self.basis]
-        self.solver = LinearSolver(algebra.field, len(self.basis))
+        self.nvars = len(field.varnames)
+        self.solver = LinearSolver(field, len(self.basis))
         self.blocks: list = []  # (gamma, scale, {mu: equation index}) in basis order
-
-    @property
-    def full_rank(self) -> bool:
-        return self.solver.rank == len(self.basis)
-
-    def extend(self) -> bool:
-        """Eliminate the next block; False once the rank is full or every block is built."""
-        if self.full_rank or len(self.blocks) == len(self.basis):
-            return False
-        field, q = self.solver.field, self.q
-        gamma = self.basis[len(self.blocks)]
-        entries = [power.get(gamma, field.zero) for power in self.powers]
-        dens = [c.den for c in entries if not c.is_zero]
-        if not dens:
-            self.blocks.append((gamma, None, {}))
-            return True
-        # the lcm's q-th power is a multiple of every denominator of the block, so each product is a polynomial
-        scale = _frobenius_scalar(RatFunc.from_poly(reduce(poly_lcm, dens)), q)
-        splits = [{} if c.is_zero else frobenius_split(c * scale, q, self.nvars) for c in entries]
-        rows = {}
-        for mu in sorted({mu for s in splits for mu in s}):
-            rows[mu] = len(self.solver.log)
-            self.solver.add_equation([s.get(mu, field.zero) for s in splits], field.zero)
-        self.blocks.append((gamma, scale, rows))
-        return True
+        powers = [algebra.monomial_frobenius(e, q) for e in self.basis]
+        for gamma in self.basis:
+            if self.solver.rank == len(self.basis):
+                break
+            entries = [power.get(gamma, field.zero) for power in powers]
+            dens = [c.den for c in entries if not c.is_zero]
+            if not dens:
+                self.blocks.append((gamma, None, {}))
+                continue
+            # the lcm's q-th power is a multiple of every denominator of the block, so each product is a polynomial
+            scale = _frobenius_scalar(RatFunc.from_poly(reduce(poly_lcm, dens)), q)
+            splits = [{} if c.is_zero else frobenius_split(c * scale, q, self.nvars) for c in entries]
+            rows = {}
+            for mu in sorted({mu for s in splits for mu in s}):
+                rows[mu] = len(self.solver.log)
+                self.solver.add_equation([s.get(mu, field.zero) for s in splits])
+            self.blocks.append((gamma, scale, rows))
 
 
 def p_power_root(algebra: FlatAlgebra, target: dict, r: int):
     """Solve x^(p^r) = target in the algebra; None when no solution exists.
 
-    The left-hand side is the algebra's `RootSystem` for q = p^r.  Block by
-    block, the target's gamma-coefficient is split with the block's scale and
-    its pieces are replayed through the logged reductions: a piece with no
-    equation or a dependent equation left nonzero means no root.  Blocks are
-    added while the rank is short; at full rank only pivot equations are
-    replayed.  Back-substitution sets free variables to zero, and x^q = target
-    is checked, which covers every equation skipped or never built.
+    The left-hand side is the algebra's `RootSystem` for q = p^r, built whole
+    on first use; only the right-hand side is new.  Block by block, the
+    target's gamma-coefficient is split with the block's scale and its pieces
+    are replayed through the logged reductions: a piece with no equation or a
+    dependent equation left nonzero means no root.  At full rank the solution
+    is unique, so only pivot equations are replayed.  Back-substitution sets
+    free variables to zero, and x^q = target is checked, which covers every
+    equation skipped or never built.
     """
     q = algebra.field.p**r
     system = algebra.root_system(q)
     solver, zero = system.solver, algebra.field.zero
+    full = solver.rank == len(system.basis)
     reduced: dict = {}
-    k = 0
-    while k < len(system.blocks) or system.extend():
-        gamma, scale, rows = system.blocks[k]
-        k += 1
+    for gamma, scale, rows in system.blocks:
         pieces = {}
         if gamma in target:
             if not rows:
@@ -504,7 +478,6 @@ def p_power_root(algebra: FlatAlgebra, target: dict, r: int):
             pieces = frobenius_split(target[gamma] * scale, q, system.nvars)
             if not pieces.keys() <= rows.keys():
                 return None
-        full = system.full_rank
         for mu, i in rows.items():
             if full and solver.log[i][1] is None:
                 continue
@@ -512,6 +485,6 @@ def p_power_root(algebra: FlatAlgebra, target: dict, r: int):
                 return None
 
     x = {e: c for e, c in zip(system.basis, solver.solution(reduced)) if not c.is_zero}
-    if not algebra.eq(algebra.frobenius(x, q), target):
+    if algebra.frobenius(x, q) != target:
         return None
     return x

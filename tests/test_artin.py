@@ -282,7 +282,7 @@ def fp_t_rank(alg, generators):
             coeffs = [alg.field.zero] * len(basis)
             for e, c in alg.mul(g, {b: alg.field.one}).items():
                 coeffs[index[e]] = c
-            solver.add_equation(coeffs, alg.field.zero)
+            solver.add_equation(coeffs)
     return solver.rank
 
 

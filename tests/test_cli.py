@@ -14,6 +14,7 @@ from ejump.cli import (
     run_command,
 )
 from ejump.errors import ParseError, ValidationError
+from ejump.ff_arith import FractionField, poly_from_text, ratfunc_from_text
 from ejump.instances import random_tower, sqrt_t_tower
 from ejump.localring import ClosedPoint
 
@@ -89,6 +90,38 @@ class TestParsing:
         text = "base p=2 vars tadjoin\ntower K : base adjoin y trans adjoin u root tadjoin + y exp 1\n"
         K = parse_session(text).towers["K"]
         assert K.gen("u") ** 2 == K.base_var("tadjoin") + K.gen("y")
+
+
+class TestExpressionErrors:
+    """A token consumed and found wrong is the one an error points at, even the end of the text."""
+
+    CASES = [
+        ("(t", 3, "expected ')'"),
+        ("((t)", 5, "expected ')'"),
+        ("t^", 3, "exponent must be a non-negative integer"),
+        ("t^t", 3, "exponent must be a non-negative integer"),
+    ]
+
+    @pytest.mark.parametrize("text, column, message", CASES)
+    def test_base_field_element(self, text, column, message):
+        field = FractionField(3, ("t",))
+        with pytest.raises(ParseError) as err:
+            ratfunc_from_text(field, text, line=2)
+        assert str(err.value) == f"line 2, column {column}: {message}"
+
+    @pytest.mark.parametrize("text, column, message", CASES)
+    def test_polynomial(self, text, column, message):
+        field = FractionField(3, ("t",))
+        with pytest.raises(ParseError) as err:
+            poly_from_text(field, ("x",), text.replace("t", "x"), line=2)
+        assert str(err.value) == f"line 2, column {column}: {message}"
+
+    @pytest.mark.parametrize("text, column, message", CASES)
+    def test_cli_session(self, text, column, message, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"base p=3 vars t\nideal I vars x : {text.replace('t', 'x')}\n")
+        assert main(["--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: line 2, column {column}: {message}\n"
 
 
 class TestMinimalPolynomial:

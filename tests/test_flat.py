@@ -20,6 +20,37 @@ def algebra_mod_square_diff():
     return field, FlatAlgebra(field, [FlatLayer("z", 2, {(0,): t * t})])
 
 
+UNIT_CASES = [
+    # z^2 = t^2 over F_2(t): inseparable, with the zero divisor z + t
+    (
+        2,
+        [("z", 2, {(0,): "t^2"})],
+        [{(1,): "1", (0,): "t"}, {(1,): "1", (0,): "1"}, {(1,): "1"}],
+    ),
+    # a^2 = t, b^2 = a over F_2(t): two inseparable slots, a field
+    (
+        2,
+        [("a", 2, {(0, 0): "t"}), ("b", 2, {(1, 0): "1"})],
+        [{(1, 1): "1", (0, 0): "t"}, {(0, 1): "1", (1, 0): "1"}],
+    ),
+    # z^2 = 1 over F_3(t): separable, with the zero divisor z - 1
+    (3, [("z", 2, {(0,): "1"})], [{(1,): "1", (0,): "2"}, {(1,): "1", (0,): "t"}]),
+]
+
+
+def unit_case(p, layers, elements):
+    """The algebra over F_p(t) of a `UNIT_CASES` entry and its elements, with coefficients spelled out."""
+    field = FractionField(p, ("t",))
+    t = field.gen(0)
+    names = {"1": field.one, "2": field.one + field.one, "t": t, "t^2": t * t}
+    alg = FlatAlgebra(field, [FlatLayer(n, d, {e: names[c] for e, c in r.items()}) for n, d, r in layers])
+    return alg, [{e: names[c] for e, c in spec.items()} for spec in elements]
+
+
+def field_vector(c):
+    return {} if c.is_zero else {(): c}
+
+
 class TestFlatAlgebra:
     def test_dimension_and_basis(self):
         k = FieldTower(BaseField(2, ("t",)))
@@ -32,7 +63,7 @@ class TestFlatAlgebra:
         field, alg = algebra_mod_square_diff()
         z = alg.gen(0)
         t = alg.scalar(field.gen(0))
-        assert alg.eq(alg.mul(z, z), alg.mul(t, t))
+        assert alg.mul(z, z) == alg.mul(t, t)
 
     def test_invert_unit(self):
         field, alg = algebra_mod_square_diff()
@@ -40,52 +71,43 @@ class TestFlatAlgebra:
         one_plus_z = alg.add(alg.one(), z)  # residue 1 + t != 0: a unit? (1+z)(1+z) = 1+t^2
         inv = alg.invert(one_plus_z)
         assert inv is not None
-        assert alg.eq(alg.mul(one_plus_z, inv), alg.one())
+        assert alg.mul(one_plus_z, inv) == alg.one()
 
     def test_invert_zero_divisor_returns_none(self):
         field, alg = algebra_mod_square_diff()
         z = alg.gen(0)
         zero_divisor = alg.sub(z, alg.scalar(field.gen(0)))  # (z - t)(z + t) = 0
         assert alg.invert(zero_divisor) is None
-        assert alg.invert(alg.zero()) is None
+        assert alg.invert({}) is None
 
-    @pytest.mark.parametrize(
-        "p, layers, elements",
-        [
-            # z^2 = t^2 over F_2(t): inseparable, with the zero divisor z + t
-            (
-                2,
-                [("z", 2, {(0,): "t^2"})],
-                [{(1,): "1", (0,): "t"}, {(1,): "1", (0,): "1"}, {(1,): "1"}],
-            ),
-            # a^2 = t, b^2 = a over F_2(t): two inseparable slots, a field
-            (
-                2,
-                [("a", 2, {(0, 0): "t"}), ("b", 2, {(1, 0): "1"})],
-                [{(1, 1): "1", (0, 0): "t"}, {(0, 1): "1", (1, 0): "1"}],
-            ),
-            # z^2 = 1 over F_3(t): separable, with the zero divisor z - 1
-            (3, [("z", 2, {(0,): "1"})], [{(1,): "1", (0,): "2"}, {(1,): "1", (0,): "t"}]),
-        ],
-    )
+    @pytest.mark.parametrize("p, layers, elements", UNIT_CASES)
     def test_is_unit_agrees_with_invert(self, p, layers, elements):
-        field = FractionField(p, ("t",))
-        t = field.gen(0)
-
-        def coeff(text):
-            return {"1": field.one, "2": field.one + field.one, "t": t, "t^2": t * t}[text]
-
-        flat_layers = [FlatLayer(n, d, {e: coeff(c) for e, c in r.items()}) for n, d, r in layers]
-        alg = FlatAlgebra(field, flat_layers)
+        alg, elements = unit_case(p, layers, elements)
         units = 0
-        for spec in elements:
-            u = {e: coeff(c) for e, c in spec.items()}
+        for u in elements:
             inv = alg.invert(u)
             assert alg.is_unit(u) == (inv is not None)
             if inv is not None:
                 units += 1
-                assert alg.eq(alg.mul(u, inv), alg.one())
+                assert alg.mul(u, inv) == alg.one()
         assert units >= 1
+
+    @pytest.mark.parametrize("case, zero_divisors", zip(UNIT_CASES, (1, 0, 1)))
+    def test_invert_refuses_exactly_the_zero_divisors(self, case, zero_divisors):
+        # second route: u is a zero divisor iff multiplication by u has a kernel
+        alg, elements = unit_case(*case)
+        basis = alg.basis()
+        scalars = FlatAlgebra(alg.field, [])
+        found = 0
+        for u in elements:
+            matrix = [[field_vector(alg.mul(u, {b: alg.field.one}).get(e, alg.field.zero)) for e in basis] for b in basis]
+            inv = alg.invert(u)
+            if scalars.rank(matrix) < len(basis):
+                found += 1
+                assert inv is None
+            else:
+                assert alg.mul(u, inv) == alg.one()
+        assert found == zero_divisors
 
     def test_flatten_unflatten_roundtrip(self):
         k = FieldTower(BaseField(3, ("t",)))
@@ -97,10 +119,6 @@ class TestFlatAlgebra:
 
 def dot(field, u, v):
     return sum((a * b for a, b in zip(u, v)), field.zero)
-
-
-def field_vector(c):
-    return {} if c.is_zero else {(): c}
 
 
 @st.composite
@@ -120,32 +138,39 @@ class TestLinearSolver:
     def test_consistent_system(self, system, weights):
         field, A, b = system
         solver = LinearSolver(field, len(A[0]))
-        assert all(solver.add_equation(row, rhs) for row, rhs in zip(A, b))
-        x = solver.solution()
+        for row in A:
+            solver.add_equation(row)
+        reduced: dict = {}
+        assert all(solver.replay(i, rhs, reduced) for i, rhs in enumerate(b))
+        x = solver.solution(reduced)
         assert all(dot(field, row, x) == rhs for row, rhs in zip(A, b))
         # a separate, fraction-free elimination
         assert solver.rank == FlatAlgebra(field, []).rank([[field_vector(c) for c in row] for row in A])
-        # a combination of the rows whose right-hand side is off by one
+        # a combination of the rows is dependent: its replayed right-hand side
+        # reduces to zero, and to nonzero when it is off by one
         lam = [field.from_int(w) for w in weights]
         combo = [dot(field, lam, column) for column in zip(*A)]
-        assert not solver.add_equation(combo, dot(field, lam, b) + field.one)
-
+        rank = solver.rank
+        solver.add_equation(combo)
+        assert solver.rank == rank
+        assert solver.replay(len(A), dot(field, lam, b), dict(reduced))
+        assert not solver.replay(len(A), dot(field, lam, b) + field.one, dict(reduced))
 
     @given(consistent_systems())
     def test_stored_rows_have_unit_pivots_and_keep_zeros(self, system):
-        field, A, b = system
+        field, A, _ = system
         solver = LinearSolver(field, len(A[0]))
-        for row, rhs in zip(A, b):
+        for row in A:
             reduced = list(row)
-            for pivot_col, stored, _ in solver.rows:
+            for pivot_col, stored in solver.rows:
                 c = reduced[pivot_col]
                 reduced = [a - c * s for a, s in zip(reduced, stored)]
             rank = solver.rank
-            assert solver.add_equation(row, rhs)
+            solver.add_equation(row)
             if solver.rank == rank:
                 continue
             pivot = next(i for i, c in enumerate(reduced) if not c.is_zero)
-            (stored,) = [r for col, r, _ in solver.rows if col == pivot]
+            (stored,) = [r for col, r in solver.rows if col == pivot]
             assert stored[pivot] == field.one
             assert [c.is_zero for c in stored] == [c.is_zero for c in reduced]
             assert stored == [c / reduced[pivot] for c in reduced]
@@ -181,7 +206,7 @@ def truncated_algebra_elements(draw):
         a = draw(ratfuncs(p=p, arity=1, nonzero=True))
         layers.append(FlatLayer(f"z{i + 1}", p**n, {(0,) * nslots: a**p if i == 0 else a}))
     alg = FlatAlgebra(field, layers)
-    u = alg.zero()
+    u = {}
     for _ in range(draw(st.integers(1, 2))):
         e = tuple(draw(st.integers(0, layer.degree - 1)) for layer in layers)
         u = alg.add(u, {e: draw(ratfuncs(p=p, arity=1))})
@@ -211,7 +236,7 @@ class TestPPowerRoot:
         target = alg.mul(t, t)
         x = p_power_root(alg, target, 1)
         assert x is not None
-        assert alg.eq(alg.pow(x, 2), target)
+        assert alg.pow(x, 2) == target
 
     def test_no_solution(self):
         field, alg = algebra_mod_square_diff()
@@ -315,11 +340,23 @@ class TestRootSystem:
                     assert (root is not None) == has_root
                 if root is not None:
                     assert alg.frobenius(root, q) == target
-            # a second pass reduces no row again
-            logged = {q: len(alg.root_system(q).solver.log) for q, _, _ in cases}
-            for q, target, _ in order:
-                p_power_root(alg, target, 1 if q == alg.field.p else 2)
-            assert {q: len(alg.root_system(q).solver.log) for q, _, _ in cases} == logged
+            # no root reduced a row: each system is the one its constructor built
+            for q in {q for q, _, _ in cases}:
+                system = alg.root_system(q)
+                TestRootSystem.check_built_whole(system)
+                assert system.solver.log == make().root_system(q).solver.log
+
+    @staticmethod
+    def check_built_whole(system):
+        """The blocks are the basis' first ones, up to the one that fills the rank or to the last."""
+        basis, blocks, solver = system.basis, system.blocks, system.solver
+        assert [gamma for gamma, _, _ in blocks] == basis[: len(blocks)]
+        assert sorted(i for _, _, rows in blocks for i in rows.values()) == list(range(len(solver.log)))
+        if solver.rank < len(basis):
+            assert len(blocks) == len(basis)
+        else:
+            # the last block raised the rank, so it was needed
+            assert any(solver.log[i][1] is not None for i in blocks[-1][2].values())
 
     @pytest.mark.parametrize("K", root_towers(), ids=lambda K: K.describe())
     def test_fields_roots_first_then_non_roots_first(self, K):
@@ -363,10 +400,13 @@ class TestRootSystem:
         self.check_orders(lambda: algebra_mod_square_diff()[1], cases)
 
     def test_fresh_tower_starts_empty(self):
+        # a fresh tower's algebra holds no root system until asked, then builds its own
         K = root_towers()[0]
         p_power_root(K.algebra, root_targets(K, K.p)[0], 1)
-        assert K.algebra.root_system(K.p).blocks
+        used = K.algebra.root_system(K.p)
+        assert used.blocks
         fresh = FieldTower(K.base, K.layers).algebra
-        assert fresh is not K.algebra
+        assert fresh is not K.algebra and fresh._root_systems == {}
         system = fresh.root_system(K.p)
-        assert system.blocks == [] and system.solver.rank == 0 and system.solver.log == []
+        assert system is not used
+        assert system.blocks == used.blocks and system.solver.log == used.solver.log

@@ -526,7 +526,7 @@ class TestIdealJacobianFromPoint:
         point = direct_jacobian(P.generators, kappa, images, d)
         for g_row, q_row in zip(ideal, local._quotient_values):
             for c, entry in enumerate(g_row):
-                product = alg.zero()
+                product = {}
                 for q, u_row in zip(q_row, point):
                     product = alg.add(product, alg.mul(q, u_row[c]))
                 assert entry == product, (case, c)
