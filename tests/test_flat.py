@@ -258,7 +258,7 @@ class TestPPowerRoot:
         K = adjoin_p_root(k, k.base_var("t"), 1, name="u")
         x = K.gen("u") + K.base_var("t") + K.one
         target = (x ** (3**r)).payload
-        alg = FlatAlgebra(K.algebra.field, K.algebra.layers)  # empty generator-power cache
+        alg = FlatAlgebra(K.algebra.field, K.algebra.layers)  # empty monomial tables
         sizes = []
         pow_ = FlatAlgebra.pow
 
