@@ -20,37 +20,6 @@ def algebra_mod_square_diff():
     return field, FlatAlgebra(field, [FlatLayer("z", 2, {(0,): t * t})])
 
 
-UNIT_CASES = [
-    # z^2 = t^2 over F_2(t): inseparable, with the zero divisor z + t
-    (
-        2,
-        [("z", 2, {(0,): "t^2"})],
-        [{(1,): "1", (0,): "t"}, {(1,): "1", (0,): "1"}, {(1,): "1"}],
-    ),
-    # a^2 = t, b^2 = a over F_2(t): two inseparable slots, a field
-    (
-        2,
-        [("a", 2, {(0, 0): "t"}), ("b", 2, {(1, 0): "1"})],
-        [{(1, 1): "1", (0, 0): "t"}, {(0, 1): "1", (1, 0): "1"}],
-    ),
-    # z^2 = 1 over F_3(t): separable, with the zero divisor z - 1
-    (3, [("z", 2, {(0,): "1"})], [{(1,): "1", (0,): "2"}, {(1,): "1", (0,): "t"}]),
-]
-
-
-def unit_case(p, layers, elements):
-    """The algebra over F_p(t) of a `UNIT_CASES` entry and its elements, with coefficients spelled out."""
-    field = FractionField(p, ("t",))
-    t = field.gen(0)
-    names = {"1": field.one, "2": field.one + field.one, "t": t, "t^2": t * t}
-    alg = FlatAlgebra(field, [FlatLayer(n, d, {e: names[c] for e, c in r.items()}) for n, d, r in layers])
-    return alg, [{e: names[c] for e, c in spec.items()} for spec in elements]
-
-
-def field_vector(c):
-    return {} if c.is_zero else {(): c}
-
-
 class TestFlatAlgebra:
     def test_dimension_and_basis(self):
         k = FieldTower(BaseField(2, ("t",)))
@@ -80,28 +49,44 @@ class TestFlatAlgebra:
         assert alg.invert(zero_divisor) is None
         assert alg.invert({}) is None
 
-    @pytest.mark.parametrize("p, layers, elements", UNIT_CASES)
-    def test_is_unit_agrees_with_invert(self, p, layers, elements):
-        alg, elements = unit_case(p, layers, elements)
-        units = 0
-        for u in elements:
+    @pytest.mark.parametrize(
+        "p, layers, elements, zero_divisors",
+        [
+            # z^2 = t^2 over F_2(t): inseparable, with the zero divisor z + t
+            (
+                2,
+                [("z", 2, {(0,): "t^2"})],
+                [{(1,): "1", (0,): "t"}, {(1,): "1", (0,): "1"}, {(1,): "1"}],
+                1,
+            ),
+            # a^2 = t, b^2 = a over F_2(t): two inseparable slots, a field
+            (
+                2,
+                [("a", 2, {(0, 0): "t"}), ("b", 2, {(1, 0): "1"})],
+                [{(1, 1): "1", (0, 0): "t"}, {(0, 1): "1", (1, 0): "1"}],
+                0,
+            ),
+            # z^2 = 1 over F_3(t): separable, with the zero divisor z - 1
+            (3, [("z", 2, {(0,): "1"})], [{(1,): "1", (0,): "2"}, {(1,): "1", (0,): "t"}], 1),
+        ],
+    )
+    def test_is_unit_agrees_with_invert(self, p, layers, elements, zero_divisors):
+        field = FractionField(p, ("t",))
+        t = field.gen(0)
+
+        def coeff(text):
+            return {"1": field.one, "2": field.one + field.one, "t": t, "t^2": t * t}[text]
+
+        flat_layers = [FlatLayer(n, d, {e: coeff(c) for e, c in r.items()}) for n, d, r in layers]
+        alg = FlatAlgebra(field, flat_layers)
+        basis, scalars = alg.basis(), FlatAlgebra(field, [])
+        found = 0
+        for spec in elements:
+            u = {e: coeff(c) for e, c in spec.items()}
             inv = alg.invert(u)
             assert alg.is_unit(u) == (inv is not None)
-            if inv is not None:
-                units += 1
-                assert alg.mul(u, inv) == alg.one()
-        assert units >= 1
-
-    @pytest.mark.parametrize("case, zero_divisors", zip(UNIT_CASES, (1, 0, 1)))
-    def test_invert_refuses_exactly_the_zero_divisors(self, case, zero_divisors):
-        # second route: u is a zero divisor iff multiplication by u has a kernel
-        alg, elements = unit_case(*case)
-        basis = alg.basis()
-        scalars = FlatAlgebra(alg.field, [])
-        found = 0
-        for u in elements:
-            matrix = [[field_vector(alg.mul(u, {b: alg.field.one}).get(e, alg.field.zero)) for e in basis] for b in basis]
-            inv = alg.invert(u)
+            # second route: u is a zero divisor iff multiplication by u has a kernel
+            matrix = [[field_vector(alg.mul(u, {b: field.one}).get(e, field.zero)) for e in basis] for b in basis]
             if scalars.rank(matrix) < len(basis):
                 found += 1
                 assert inv is None
@@ -119,6 +104,10 @@ class TestFlatAlgebra:
 
 def dot(field, u, v):
     return sum((a * b for a, b in zip(u, v)), field.zero)
+
+
+def field_vector(c):
+    return {} if c.is_zero else {(): c}
 
 
 @st.composite
@@ -340,9 +329,11 @@ class TestRootSystem:
                     assert (root is not None) == has_root
                 if root is not None:
                     assert alg.frobenius(root, q) == target
-            # no root reduced a row: each system is the one its constructor built
+            # one system per q, kept by the algebra, and no root reduced a row:
+            # each system is the one its constructor built
             for q in {q for q, _, _ in cases}:
-                system = alg.root_system(q)
+                system = alg._root_systems[q]
+                assert alg.root_system(q) is system
                 TestRootSystem.check_built_whole(system)
                 assert system.solver.log == make().root_system(q).solver.log
 
@@ -403,8 +394,9 @@ class TestRootSystem:
         # a fresh tower's algebra holds no root system until asked, then builds its own
         K = root_towers()[0]
         p_power_root(K.algebra, root_targets(K, K.p)[0], 1)
-        used = K.algebra.root_system(K.p)
-        assert used.blocks
+        # the root kept its system, and the algebra hands that one out again
+        used = K.algebra._root_systems[K.p]
+        assert K.algebra.root_system(K.p) is used and used.blocks
         fresh = FieldTower(K.base, K.layers).algebra
         assert fresh is not K.algebra and fresh._root_systems == {}
         system = fresh.root_system(K.p)
