@@ -38,6 +38,10 @@ Families:
   and `sessions` pool tower, with a and b seeded `random_tower_element` draws
   and g the top generator (t in the base field), and the error types raised
   for 0 and for u - t in the reducible tower u^2 - t^2 over F_3(t).
+- polys: the rendered a + b, a - b, a*b, every da/dx_i and `from_terms` of
+  a's and b's terms with the negatives of about half of them planted among
+  them, for a and b in 1-3 variables over F_2, F_3 or F_5 (t1..td), d = 1
+  or 2, with `ratfuncs`-style coefficients, seeds 0-299.
 
 The benchmark's workload module supplies the inputs and is only imported.
 """
@@ -59,7 +63,15 @@ import workloads  # noqa: E402
 
 from ejump import artin, cli, kaehler, localring  # noqa: E402
 from ejump.acceptance import run_all, structure_oracle_specs  # noqa: E402
-from ejump.ff_arith import MultiPoly, PrimeField, RatFunc, poly_gcd, render_ratfunc  # noqa: E402
+from ejump.ff_arith import (  # noqa: E402
+    FractionField,
+    MultiPoly,
+    PrimeField,
+    RatFunc,
+    poly_gcd,
+    render_poly,
+    render_ratfunc,
+)
 from ejump.errors import ExactAlgebraError  # noqa: E402
 from ejump.flat import p_power_root  # noqa: E402
 from ejump.instances import (  # noqa: E402
@@ -308,6 +320,29 @@ def _ratfuncs() -> list:
     return out
 
 
+def _polys() -> list:
+    xs = ("x1", "x2", "x3")
+    out = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        p, d, arity = rng.choice((2, 3, 5)), rng.choice((1, 2)), rng.choice((1, 2, 3))
+        field = FractionField(p, ("t1", "t2")[:d])
+        one = MultiPoly.from_int(field.prime_field, d, 1)
+
+        def poly() -> MultiPoly:
+            exps = [tuple(rng.randint(0, 3) for _ in range(arity)) for _ in range(rng.randint(1, 4))]
+            return MultiPoly.from_terms(field, arity, [(e, _random_fraction(rng, p, d, one)) for e in exps])
+
+        a, b = poly(), poly()
+        items = [*a.terms.items(), *b.terms.items()]
+        items += [(e, -c) for e, c in items if rng.random() < 0.5]
+        rng.shuffle(items)
+        values = [a + b, a - b, a * b] + [a.derivative(i) for i in range(arity)]
+        values.append(MultiPoly.from_terms(field, arity, items))
+        out.append((seed, p, d, arity, [render_poly(v, xs[:arity]) for v in values]))
+    return out
+
+
 FAMILIES = (
     ("sessions-json", _sessions_json),
     ("tail-reports", _tail_reports),
@@ -324,6 +359,7 @@ FAMILIES = (
     ("tower-heights", _tower_heights),
     ("roots", _roots),
     ("inverses", _inverses),
+    ("polys", _polys),
 )
 
 

@@ -7,6 +7,7 @@ tolerances anywhere.  `run_all` prints one pass/fail line per criterion.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -55,14 +56,9 @@ def _towers_for_identity(count: int):
     return towers
 
 
-_IDENTITY_TOWERS: list | None = None
-
-
+@functools.cache
 def _identity_towers():
-    global _IDENTITY_TOWERS
-    if _IDENTITY_TOWERS is None:
-        _IDENTITY_TOWERS = _towers_for_identity(50)
-    return _IDENTITY_TOWERS
+    return _towers_for_identity(50)
 
 
 def criterion_1_predicted_edim_identity() -> CriterionResult:
@@ -113,19 +109,14 @@ def criterion_2_height_one_stability() -> CriterionResult:
     return CriterionResult(2, "height-one stability", not failures, detail, time.time() - start)
 
 
-_BOUND_INSTANCES: list | None = None
-
-
+@functools.cache
 def _bound_instances():
-    global _BOUND_INSTANCES
-    if _BOUND_INSTANCES is None:
-        rng = random.Random(BASE_SEED + 3)
-        instances = []
-        while len(instances) < 20:
-            I, P, exponents = random_bound_instance(rng)
-            instances.append((I, P, exponents, localring.ejump_at_point(I, P, exponents)))
-        _BOUND_INSTANCES = instances
-    return _BOUND_INSTANCES
+    rng = random.Random(BASE_SEED + 3)
+    instances = []
+    while len(instances) < 20:
+        I, P, exponents = random_bound_instance(rng)
+        instances.append((I, P, exponents, localring.ejump_at_point(I, P, exponents)))
+    return instances
 
 
 def criterion_3_bound_chain() -> CriterionResult:

@@ -104,11 +104,9 @@ class TruncatedStructure:
 
     @property
     def residue_degree(self) -> int:
-        degree = 1
-        for _, name in self.adjoined:
-            layer = next(l for l in self.residue_field.layers if l.name == name)
-            degree *= self.residue_field.layer_degree(layer)
-        return degree
+        """[L:K] for the residue field L, which is K with the adjoined layers on top."""
+        L, K = self.residue_field, self.base_tower
+        return L.degree_over_transcendental_base() // K.degree_over_transcendental_base()
 
     @property
     def total_extension_degree(self) -> int:

@@ -573,7 +573,7 @@ def main(argv=None) -> int:
         try:
             with open(ns.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

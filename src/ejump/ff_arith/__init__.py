@@ -16,6 +16,7 @@ from .poly import (
     MonomialOrder,
     MultiPoly,
     PrimeField,
+    add_terms,
     divexact,
     is_prime,
     monic,
@@ -35,6 +36,7 @@ __all__ = [
     "MultiPoly",
     "PrimeField",
     "RatFunc",
+    "add_terms",
     "divexact",
     "groebner_basis",
     "ideal_contains",

@@ -6,6 +6,12 @@ small domain adapter object so the same container serves both plain F_p
 arithmetic (integer residues) and polynomials whose coefficients are rational
 functions; see `ratfunc.FractionField` for the latter.
 
+`add_terms` is the one sparse sum of the package: every coefficient map, a
+polynomial's terms here or a flat-algebra vector, adds through it, so
+`dom.add` runs only for an exponent already present and no zero is stored.
+Over F_p, `_fp_add` and the product loop of `MultiPoly.__mul__` sum plain
+ints instead, chosen by `dom.is_prime_field`.
+
 The fixed monomial orders are degree-reverse-lexicographic (the default used
 for canonical forms) and lexicographic.
 
@@ -145,18 +151,11 @@ class MultiPoly:
 
     @classmethod
     def from_terms(cls, dom, arity: int, items: Iterable[tuple]) -> "MultiPoly":
-        terms: dict = {}
-        for exp, c in items:
-            exp = tuple(exp)
+        items = [(tuple(exp), c) for exp, c in items]
+        for exp, _ in items:
             if len(exp) != arity:
                 raise ArityMismatch(f"exponent {exp} has length {len(exp)}, expected {arity}")
-            if exp in terms:
-                c = dom.add(terms[exp], c)
-            if dom.is_zero(c):
-                terms.pop(exp, None)
-            else:
-                terms[exp] = c
-        return cls(dom, arity, terms)
+        return cls(dom, arity, add_terms(dom, {}, items))
 
     @classmethod
     def zero(cls, dom, arity: int) -> "MultiPoly":
@@ -209,14 +208,7 @@ class MultiPoly:
         dom = self.dom
         if dom.is_prime_field:
             return MultiPoly(dom, self.arity, _fp_add(self.terms, other.terms, 1, dom.p))
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = dom.add(terms.get(exp, dom.zero), c)
-            if dom.is_zero(s):
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
-        return MultiPoly(dom, self.arity, terms)
+        return MultiPoly(dom, self.arity, add_terms(dom, dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "MultiPoly":
         dom = self.dom
@@ -231,9 +223,9 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         dom = self.dom
-        terms: dict = {}
         if dom.is_prime_field:
             # sum the int products exactly, then reduce each output term once
+            terms: dict = {}
             get = terms.get
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
@@ -241,16 +233,12 @@ class MultiPoly:
                     terms[exp] = get(exp, 0) + c1 * c2
             p = dom.p
             return MultiPoly(dom, self.arity, {e: r for e, c in terms.items() if (r := c % p)})
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(add, e1, e2))
-                c = dom.mul(c1, c2)
-                s = dom.add(terms.get(exp, dom.zero), c)
-                if dom.is_zero(s):
-                    terms.pop(exp, None)
-                else:
-                    terms[exp] = s
-        return MultiPoly(dom, self.arity, terms)
+        products = (
+            (tuple(map(add, e1, e2)), dom.mul(c1, c2))
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return MultiPoly(dom, self.arity, add_terms(dom, {}, products))
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -322,18 +310,12 @@ class MultiPoly:
 
     def derivative(self, var: int) -> "MultiPoly":
         dom = self.dom
-        terms: dict = {}
-        for exp, c in self.terms.items():
-            k = exp[var]
-            if k == 0:
-                continue
-            c2 = dom.mul(c, dom.from_int(k))
-            if dom.is_zero(c2):
-                continue
-            e2 = list(exp)
-            e2[var] = k - 1
-            terms[tuple(e2)] = dom.add(terms.get(tuple(e2), dom.zero), c2)
-        return MultiPoly(dom, self.arity, {e: c for e, c in terms.items() if not dom.is_zero(c)})
+        lowered = (
+            (exp[:var] + (exp[var] - 1,) + exp[var + 1 :], dom.mul(c, dom.from_int(exp[var])))
+            for exp, c in self.terms.items()
+            if exp[var]
+        )
+        return MultiPoly(dom, self.arity, add_terms(dom, {}, lowered))
 
     def map_exponents(self, fn) -> "MultiPoly":
         """Apply a monomial substitution exp -> fn(exp); fn must be injective."""
@@ -374,6 +356,23 @@ class MultiPoly:
             mon = "*".join(f"v{i}^{e}" for i, e in enumerate(exp) if e)
             bits.append(f"{self.dom.coeff_str(c)}{'*' + mon if mon else ''}")
         return "MultiPoly(" + " + ".join(bits) + ")"
+
+
+def add_terms(dom, terms: dict, items: Iterable[tuple]) -> dict:
+    """Add each (exponent, coefficient) of `items` into `terms` in place; return `terms`.
+
+    The one sparse sum: `dom.add` runs only for an exponent already present,
+    and no zero coefficient is stored.  `items` must not iterate `terms` itself.
+    """
+    dom_add, is_zero = dom.add, dom.is_zero
+    for exp, c in items:
+        if exp in terms:
+            c = dom_add(terms[exp], c)
+        if is_zero(c):
+            terms.pop(exp, None)
+        else:
+            terms[exp] = c
+    return terms
 
 
 def _fp_add(a: dict, b: dict, sign: int, p: int) -> dict:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import InternalInvariantViolation, ZeroDivisorDetected
-from .ff_arith import FractionField, MultiPoly, RatFunc, poly_lcm
+from .ff_arith import FractionField, MultiPoly, RatFunc, add_terms, poly_lcm
 from .tower import FieldTower, TowerElement
 
 
@@ -98,30 +98,21 @@ class FlatAlgebra:
         return self.reduce({tuple(exp): self.field.one})
 
     def add(self, u: dict, v: dict) -> dict:
-        out = dict(u)
-        for e, c in v.items():
-            s = out.get(e, self.field.zero) + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return out
+        return add_terms(self.field, dict(u), v.items())
 
     def neg(self, u: dict) -> dict:
         return {e: -c for e, c in u.items()}
 
     def sub(self, u: dict, v: dict) -> dict:
-        return self.add(u, self.neg(v))
+        return add_terms(self.field, dict(u), ((e, -c) for e, c in v.items()))
 
     def reduce(self, terms: dict) -> dict:
         """Rewrite exponents exceeding a layer degree through its reduction."""
         work = list(terms.items())
-        out: dict = {}
+        done = []
         degrees = [layer.degree for layer in self.layers]
         while work:
             e, c = work.pop()
-            if c.is_zero:
-                continue
             for slot in range(self.nslots - 1, -1, -1):
                 if e[slot] >= degrees[slot]:
                     rem = list(e)
@@ -131,25 +122,14 @@ class FlatAlgebra:
                         work.append((ne, c * rc))
                     break
             else:
-                s = out.get(e, self.field.zero) + c
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return out
+                done.append((e, c))
+        return add_terms(self.field, {}, done)
 
     def mul(self, u: dict, v: dict) -> dict:
-        terms: dict = {}
-        for e1, c1 in u.items():
-            for e2, c2 in v.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = terms.get(e, self.field.zero) + c
-                if s.is_zero:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return self.reduce(terms)
+        products = (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2) for e1, c1 in u.items() for e2, c2 in v.items()
+        )
+        return self.reduce(add_terms(self.field, {}, products))
 
     def pow(self, u: dict, n: int) -> dict:
         result = self.one()
@@ -200,7 +180,7 @@ class FlatAlgebra:
         out: dict = {}
         for e, c in u.items():
             cq = _frobenius_scalar(c, q)
-            out = self.add(out, {f: cq * v for f, v in self.monomial_frobenius(e, q).items()})
+            add_terms(self.field, out, ((f, cq * v) for f, v in self.monomial_frobenius(e, q).items()))
         return out
 
     def _frobenius_below(self, u: dict, slot: int):

@@ -38,24 +38,13 @@ ALGEBRAIC = "algebraic"
 INSEPARABLE_ROOT = "inseparable_root"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Layer:
     kind: str
     name: str
     coeffs: tuple = ()  # algebraic: c_0..c_{m-1} of the monic minimal polynomial, vectors of the tower below
     radicand: object = None  # inseparable root: vector of the tower below
     exponent: int = 0  # inseparable root: e with y^(p^e) = radicand
-
-    def __eq__(self, other):
-        if not isinstance(other, Layer):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.name == other.name
-            and self.coeffs == other.coeffs
-            and self.radicand == other.radicand
-            and self.exponent == other.exponent
-        )
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,13 @@ class TestMain:
         assert main(["--input", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_exit_one_on_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"base p=2 vars t\n\xff\n")
+        assert main(["--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "utf-8" in err
+
     def test_exit_two_on_domain_error(self, tmp_path, capsys):
         path = tmp_path / "dom.txt"
         path.write_text("base p=2 vars t\nideal I vars x : x + 1\npoint P : x\ncmd edim I P\n")

@@ -206,8 +206,13 @@ class TestFrobenius:
     @pytest.mark.parametrize("r", [1, 2])
     @given(x=tower_elements())
     def test_matches_pow_in_towers(self, r, x):
-        alg, q = x.tower.algebra, x.tower.p**r
-        assert alg.frobenius(x.payload, q) == alg.pow(x.payload, q)
+        alg, q, u = x.tower.algebra, x.tower.p**r, x.payload
+        assert alg.frobenius(u, q) == alg.pow(u, q)
+        # v = u + 1 shares u's terms, so u + v, u - v and u - u cancel; no result keeps a zero
+        v = alg.add(u, alg.one())
+        assert alg.sub(u, v) == alg.neg(alg.one())
+        for w in (alg.add(u, v), alg.sub(u, v), alg.sub(u, u), alg.mul(u, v), alg.frobenius(v, q)):
+            assert not any(c.is_zero for c in w.values())
 
     @pytest.mark.parametrize("r", [1, 2])
     @given(case=truncated_algebra_elements())

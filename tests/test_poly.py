@@ -14,6 +14,7 @@ from ejump.ff_arith import (
     LEX,
     MultiPoly,
     PrimeField,
+    add_terms,
     divexact,
     monic,
     poly_gcd,
@@ -138,6 +139,44 @@ def test_prime_field_loops_match_the_generic_loop(pair):
     ga, gb = (MultiPoly(dom, f.arity, dict(f.terms)) for f in (a, b))
     for op in (operator.add, operator.sub, operator.mul):
         assert op(a, b).terms == op(ga, gb).terms
+    # b's exponents repeated and a's cancelled by their negatives: what is left is b + b
+    items = list(a.terms.items()) + list(b.terms.items()) * 2 + [(e, a.dom.neg(c)) for e, c in a.terms.items()]
+    assert MultiPoly.from_terms(a.dom, a.arity, items).terms == MultiPoly.from_terms(dom, a.arity, items).terms
+    assert MultiPoly.from_terms(a.dom, a.arity, items) == b + b
+    # b^p has every exponent 0 mod p, so it drops out of the derivative
+    p = a.dom.p
+    f = a + b.map_exponents(lambda e: tuple(p * k for k in e))
+    gf = MultiPoly(dom, f.arity, dict(f.terms))
+    for var in range(a.arity):
+        assert f.derivative(var).terms == gf.derivative(var).terms == a.derivative(var).terms
+
+
+class CountingPrimeField(GenericPrimeField):
+    """GenericPrimeField that records the operands of every `add`."""
+
+    def __init__(self, field: PrimeField):
+        super().__init__(field)
+        self.added = []
+
+    def add(self, a, b):
+        self.added.append((a, b))
+        return self.field.add(a, b)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=12))
+def test_add_terms_is_the_sparse_sum(pairs):
+    dom = CountingPrimeField(PrimeField(5))
+    items = [((e,), c) for e, c in pairs]
+    terms = {(0,): 1}
+    assert add_terms(dom, terms, items) is terms
+    # a dense reference: an exponent is stored while its running sum is nonzero mod 5
+    dense, adds = {(0,): 1}, 0
+    for exp, c in items:
+        adds += dense.get(exp, 0) % 5 != 0
+        dense[exp] = dense.get(exp, 0) + c
+    assert terms == {exp: c % 5 for exp, c in dense.items() if c % 5}
+    # add runs once per item whose exponent is stored, and only on a stored (nonzero) coefficient
+    assert len(dom.added) == adds and all(a for a, _ in dom.added)
 
 
 @given(poly_pairs(nonzero=True))
