@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from . import artin, kaehler, localring
 from .errors import (
     BoundViolated,
+    DivByZero,
     ExactAlgebraError,
     ParseError,
     ValidationError,
@@ -174,7 +175,10 @@ def _parse_roots_spec(session: Session, text: str, line: int) -> list:
         exp_text = exp_text.strip()
         if not exp_text.isdigit() or int(exp_text) < 1:
             raise ParseError(f"exponent must be a positive integer, got {exp_text!r}", line, 1)
-        rad = ratfunc_from_text(session.base.field, rad_text, line=line)
+        try:
+            rad = ratfunc_from_text(session.base.field, rad_text, line=line)
+        except DivByZero as exc:
+            raise ValidationError(f"invalid radicand {rad_text!r}: {exc}", line) from exc
         if rad.is_zero:
             raise ValidationError("radicand must be nonzero", line)
         out.append((rad_text, rad, int(exp_text)))
@@ -215,6 +219,16 @@ def _check_fresh(session: Session, name: str, lineno: int) -> None:
         raise ValidationError(f"identifier {name!r} already declared", lineno)
 
 
+def _parse_varnames(text: str, kind: str, lineno: int, base: BaseField | None = None) -> tuple:
+    """A comma-separated list of distinct variables, none of them a variable of `base` if given."""
+    varnames = tuple(v.strip() for v in text.split(",") if v.strip())
+    if not varnames or len(set(varnames)) != len(varnames):
+        raise ValidationError(f"{kind} variables must be distinct and non-empty", lineno)
+    if base is not None and set(varnames) & set(base.varnames):
+        raise ValidationError(f"{kind} variables must not shadow base variables", lineno)
+    return varnames
+
+
 def _parse_base(session: Session, line: str, lineno: int) -> None:
     if session.base is not None:
         raise ValidationError("base field already declared", lineno)
@@ -227,10 +241,7 @@ def _parse_base(session: Session, line: str, lineno: int) -> None:
         raise ParseError(f"bad characteristic {tokens[1][2:]!r}", lineno, 1) from None
     if not is_prime(p) or p > 101:
         raise ValidationError(f"characteristic must be a prime <= 101, got {p}", lineno)
-    varnames = tuple(v.strip() for v in tokens[3].split(",") if v.strip())
-    if not varnames or len(set(varnames)) != len(varnames):
-        raise ValidationError("base variables must be distinct and non-empty", lineno)
-    session.base = BaseField(p, varnames)
+    session.base = BaseField(p, _parse_varnames(tokens[3], "base", lineno))
 
 
 def _parse_tower(session: Session, line: str, lineno: int) -> None:
@@ -293,18 +304,11 @@ def _parse_ideal(session: Session, line: str, lineno: int) -> tuple:
         raise ParseError("expected: ideal NAME vars x,y : POLY[, POLY]", lineno, 1)
     name = tokens[1]
     _check_fresh(session, name, lineno)
-    varnames = tuple(v.strip() for v in tokens[3].split(",") if v.strip())
-    if not varnames or len(set(varnames)) != len(varnames):
-        raise ValidationError("ideal variables must be distinct and non-empty", lineno)
-    if set(varnames) & set(base.varnames):
-        raise ValidationError("ideal variables must not shadow base variables", lineno)
+    varnames = _parse_varnames(tokens[3], "ideal", lineno, base)
     gens = []
     for part in _split_top_commas(rest.strip()):
         gens.append(poly_from_text(base.field, varnames, part, line=lineno))
-    try:
-        session.ideals[name] = IdealPresentation(base.field, varnames, tuple(gens))
-    except Exception as exc:
-        raise ValidationError(str(exc), lineno) from exc
+    session.ideals[name] = IdealPresentation(base.field, varnames, tuple(gens))
     return varnames
 
 
@@ -319,7 +323,7 @@ def _parse_point(session: Session, line: str, lineno: int, last_vars: tuple | No
         if varnames is None:
             raise ValidationError("point without vars requires a previously declared ideal", lineno)
     elif len(tokens) == 4 and tokens[2] == "vars":
-        varnames = tuple(v.strip() for v in tokens[3].split(",") if v.strip())
+        varnames = _parse_varnames(tokens[3], "point", lineno, base)
     else:
         raise ParseError("expected: point NAME [vars x,y] : POLY, POLY", lineno, 1)
     name = tokens[1]

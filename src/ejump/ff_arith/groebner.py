@@ -82,9 +82,7 @@ def normal_form(f: MultiPoly, basis, order: MonomialOrder = GREVLEX) -> MultiPol
 
 
 def _clear_denominators(f: MultiPoly) -> MultiPoly:
-    """Scale by a rational constant so coefficients are coprime polynomials."""
-    if f.is_zero:
-        return f
+    """Scale a nonzero f by a rational constant so coefficients are coprime polynomials."""
     field = f.dom
     den = None
     for c in f.terms.values():
@@ -151,10 +149,8 @@ def groebner_basis(I: IdealPresentation) -> GroebnerBasis:
     reduced = []
     for idx, g in enumerate(minimal):
         others = [h for k, h in enumerate(minimal) if k != idx]
-        r = normal_form(g, others, order) if others else g
-        if r.is_zero:
-            continue
-        reduced.append(monic(r, order))
+        # g's leading term is divisible by no other one, so it survives the reduction
+        reduced.append(monic(normal_form(g, others, order) if others else g, order))
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
     return GroebnerBasis(I.coeff_field, I.varnames, tuple(reduced), order)
 

@@ -101,9 +101,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def neg(self, a):
         return (-a) % self.p
 
@@ -114,9 +111,6 @@ class PrimeField:
         if a % self.p == 0:
             raise DivByZero("inverse of 0 in F_p")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -213,9 +213,6 @@ class FractionField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def neg(self, a):
         return -a
 

@@ -119,16 +119,6 @@ class FieldTower:
             and all(a == b for a, b in zip(self.layers, other.layers))
         )
 
-    def minpoly_coeffs(self, level: int) -> tuple:
-        """Low-order coefficients c_0..c_{m-1} of the monic minimal polynomial."""
-        layer = self.layers[level - 1]
-        if layer.kind == ALGEBRAIC:
-            return layer.coeffs
-        if layer.kind == INSEPARABLE_ROOT:
-            neg = {e: -c for e, c in layer.radicand.items()}
-            return (neg,) + ({},) * (self.p**layer.exponent - 1)
-        raise ValueError("transcendental layers have no minimal polynomial")
-
     # -- flat coordinates -------------------------------------------------
 
     @cached_property
@@ -157,12 +147,16 @@ class FieldTower:
         for level, layer in enumerate(self.layers, start=1):
             if layer.kind == TRANSCENDENTAL:
                 continue
-            slot = self.flat_index[level]
-            # gen^m = -(c_0 + c_1 gen + ... + c_{m-1} gen^(m-1)); each c_j has no slot from here on
-            reduction = {}
-            for j, c in enumerate(self.minpoly_coeffs(level)):
-                for e, v in self._pad(c).items():
-                    reduction[e[:slot] + (j,) + e[slot + 1 :]] = -v
+            if layer.kind == INSEPARABLE_ROOT:
+                # gen^(p^e) = a, and a has no slot from here on
+                reduction = self._pad(layer.radicand)
+            else:
+                # gen^m = -(c_0 + c_1 gen + ... + c_{m-1} gen^(m-1)); each c_j has no slot from here on
+                slot = self.flat_index[level]
+                reduction = {}
+                for j, c in enumerate(layer.coeffs):
+                    for e, v in self._pad(c).items():
+                        reduction[e[:slot] + (j,) + e[slot + 1 :]] = -v
             layers.append(FlatLayer(layer.name, self.layer_degree(layer), reduction))
         return FlatAlgebra(field, layers)
 
@@ -226,12 +220,11 @@ class FieldTower:
 
     def render_minpoly(self, level: int) -> str:
         layer = self.layers[level - 1]
-        coeffs = self.minpoly_coeffs(level)
         one = self.algebra.one()
-        m = len(coeffs)
+        m = len(layer.coeffs)
         bits = [f"{layer.name}^{m}"]
         for j in range(m - 1, -1, -1):
-            c = self._pad(coeffs[j])
+            c = self._pad(layer.coeffs[j])
             if not c:
                 continue
             cs = render_element(self, c, level - 1)
@@ -465,8 +458,7 @@ def algebraic_layer(K: FieldTower, name: str, coeffs) -> Layer:
 
 
 def inseparable_root_layer(K: FieldTower, name: str, radicand: TowerElement, exponent: int) -> Layer:
-    rad = K.embed(radicand) if radicand.tower != K else radicand
-    return Layer(kind=INSEPARABLE_ROOT, name=name, radicand=rad.payload, exponent=exponent)
+    return Layer(kind=INSEPARABLE_ROOT, name=name, radicand=K.embed(radicand).payload, exponent=exponent)
 
 
 def adjoin_p_root(K: FieldTower, a: TowerElement, e: int, name: str | None = None) -> FieldTower:

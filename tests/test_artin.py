@@ -11,7 +11,7 @@ from ejump.acceptance import structure_oracle_specs
 from ejump.errors import ArityMismatch, CapExceeded
 from ejump.flat import LinearSolver, flat_model
 from ejump.instances import random_base_element, random_tower, rational_oracle_specs, sqrt_t_tower
-from ejump.tower import BaseField, FieldTower, TowerElement, is_p_power_tower
+from ejump.tower import BaseField, FieldTower, TowerElement, inseparable_root_layer, is_p_power_tower
 
 from .benchmark import workloads
 from .strategies import towers
@@ -241,6 +241,24 @@ class TestOracle:
         spec = artin.InseparableExtensionSpec.of([(t_of(K), 2), (t_of(K), 3)])
         report = artin.verify_structure_oracle(K, spec)
         assert report.passed, report.failures()
+
+    def test_given_order_root_is_checked_not_repaired(self):
+        # the walk's docstring case kept in the given order: (t^2, 2) adjoins g1^2 = t, then
+        # (t, 2) adjoins g2^2 = g1, and its root g1 moves to z1, where z1^2 != t
+        K = FieldTower(BaseField(2, ("t",)))
+        t = K.base_var("t")
+        spec = artin.InseparableExtensionSpec.of([(t_of(K) * t_of(K), 2), (t_of(K), 2)])
+        L1 = FieldTower(K.base, (inseparable_root_layer(K, "g1", t, 1),))
+        g1 = L1.gen("g1")
+        L = FieldTower(K.base, L1.layers + (inseparable_root_layer(L1, "g2", g1, 1),))
+        nilpotents = (artin.NilpotentRecord(0, 1, t, 2), artin.NilpotentRecord(1, 1, g1, 2))
+        given_order = artin.TruncatedStructure(K, spec, L, nilpotents, ((0, "g1"), (1, "g2")))
+        report = artin.verify_structure_oracle(K, spec, given_order)
+        assert [c.corrected for c in report.nilpotent_checks] == [False, False]
+        assert report.failures() == ["nilpotency-index[1]"]
+        assert report.dimension_ok and report.quotient_ok
+        # the walk takes (t, 2) first, and its structure passes
+        assert artin.verify_structure_oracle(K, spec).passed
 
     def test_cap(self):
         k = FieldTower(BaseField(2, ("t",)))

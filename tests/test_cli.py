@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from pathlib import Path
@@ -90,6 +91,75 @@ class TestParsing:
         text = "base p=2 vars tadjoin\ntower K : base adjoin y trans adjoin u root tadjoin + y exp 1\n"
         K = parse_session(text).towers["K"]
         assert K.gen("u") ** 2 == K.base_var("tadjoin") + K.gen("y")
+
+    def test_tower_over_a_declared_tower(self):
+        text = "base p=2 vars t\ntower K : base adjoin u alg u^2 + t\ntower L : K adjoin v root u exp 1\n"
+        towers = parse_session(text).towers
+        K, L = towers["K"], towers["L"]
+        assert L.layers[:1] == K.layers and L.height == 2
+        assert L.gen("v") ** 2 == L.gen("u")
+
+    RADICAND_SESSION = (
+        "base p=2 vars t\ntower K : base adjoin u alg u^2 + u + t\n"
+        "ideal I vars x : x^2 + t\npoint P : x^2 + t\ncmd {}\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, radicand",
+        [
+            ("edim-tensor K roots 1/0:1", "1/0"),
+            ("edim-tensor K roots t:1, t/(t-t):1", "t/(t-t)"),
+            ("verify-structure K roots 1/0:1", "1/0"),
+            ("ejump I P roots t/(t-t):1", "t/(t-t)"),
+            ("verify-bounds I P roots 1/0:2", "1/0"),
+        ],
+    )
+    def test_radicand_with_zero_denominator(self, command, radicand, tmp_path, capsys):
+        path = tmp_path / "radicand.txt"
+        path.write_text(self.RADICAND_SESSION.format(command))
+        assert main(["--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 5: invalid radicand {radicand!r}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("base p=2 vars t,t", "line 1: base variables must be distinct and non-empty"),
+            ("base p=2 vars t\npoint P vars x,x : x, x", "line 2: point variables must be distinct and non-empty"),
+            ("base p=2 vars t\npoint P vars t : t - 1", "line 2: point variables must not shadow base variables"),
+            ("base p=2 vars t\nideal I vars x,x : x", "line 2: ideal variables must be distinct and non-empty"),
+            ("base p=2 vars t\nideal I vars x,t : x", "line 2: ideal variables must not shadow base variables"),
+        ],
+    )
+    def test_variable_lists(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            parse_session(text + "\n")
+        assert str(err.value) == message
+
+
+class TestExpressionGrammar:
+    """Unary minus (leading an expression, or an atom) and juxtaposition as a product."""
+
+    CASES = [
+        ("-t^2 + 1", lambda t, one: one - t * t),
+        ("t*-1", lambda t, one: -t),
+        ("t - -t", lambda t, one: t + t),
+        ("2t", lambda t, one: t + t),
+        ("t t", lambda t, one: t * t),
+    ]
+
+    @pytest.mark.parametrize("text, value", CASES)
+    def test_base_field_element(self, text, value):
+        field = FractionField(3, ("t",))
+        assert ratfunc_from_text(field, text) == value(field.gen(0), field.one)
+
+    @pytest.mark.parametrize("text, value", CASES)
+    def test_polynomial(self, text, value):
+        field = FractionField(3, ("t",))
+        x = poly_from_text(field, ("x",), "x")
+        one = poly_from_text(field, ("x",), "1")
+        assert poly_from_text(field, ("x",), text.replace("t", "x")) == value(x, one)
 
 
 class TestExpressionErrors:
@@ -196,6 +266,11 @@ class TestCommands:
             assert key in result
         assert result["ejump"] == 1
         assert all(result["satisfied"].values())
+
+    def test_trdeg_result(self):
+        text = "base p=2 vars t\ntower M : base adjoin y trans\ncmd trdeg M\ncmd trdeg M over prime\n"
+        results = [r.result for r in run_session_text(text)]
+        assert results == [{"value": 1, "reference": "base"}, {"value": 2, "reference": "prime"}]
 
     def test_height_one_result(self):
         reports = run_session_text(CUSP_SESSION)
@@ -330,6 +405,11 @@ class TestMain:
         assert main(["--input", str(path)]) == 0
         out = capsys.readouterr().out
         assert "ejump: 1" in out
+
+    def test_input_from_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(CUSP_SESSION))
+        assert main(["--input", "-"]) == 0
+        assert "ejump: 1" in capsys.readouterr().out
 
     def test_exit_one_on_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -169,6 +169,19 @@ class TestInseparableRootInvariants:
         # q is not in the field below: the tower has honest degree 4
         assert flat_model(K).algebra.dimension == 4
 
+    def test_layer_reduces_by_its_radicand_alone(self, monkeypatch):
+        # u^(2^10) = t: the reduction is the padded radicand, with no slot per power of u
+        k = FieldTower(BaseField(2, ("t",)))
+        K = adjoin_p_root(k, k.base_var("t"), 10, name="u")
+        pads = []
+        pad = FieldTower._pad
+        monkeypatch.setattr(FieldTower, "_pad", lambda self, vec: pads.append(vec) or pad(self, vec))
+        (layer,) = K.algebra.layers
+        assert len(pads) == 1
+        assert layer.degree == 1024
+        assert layer.reduction == {(0,): k.base.field.gen(0)}
+        assert K.gen("u") ** 1024 == K.base_var("t")
+
 
 class TestDegrees:
     def test_degree_multiplicativity(self):
